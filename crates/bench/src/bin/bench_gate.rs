@@ -12,7 +12,15 @@
 //! with the `ungated` field (wall-clock numbers) are exempt both ways.
 //! The benchmark numbers come from the deterministic simulated cost
 //! model, so in CI the comparison is exact-reproducible: any failure is
-//! a real code change, not machine noise.
+//! a real code change, not machine noise. The deterministic metrics
+//! (`Direction::Exact` in `gate::METRICS`) must match the baseline
+//! exactly.
+//!
+//! With `--exact-only` the gate instead checks that two sets of
+//! artifacts agree on exactly those deterministic fields, row for row
+//! in both directions — run it with the committed `results/` as the
+//! baseline and a fresh smoke run as the fresh side, to catch committed
+//! artifacts that drifted from what the code produces.
 //!
 //! When `GITHUB_STEP_SUMMARY` is set (as in GitHub Actions), a markdown
 //! summary of every file's verdict is appended to it.
@@ -20,7 +28,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_gate [--baseline DIR] [--fresh DIR] [--tolerance FRACTION]
+//! bench_gate [--baseline DIR] [--fresh DIR] [--tolerance FRACTION] [--exact-only]
 //! ```
 //!
 //! Defaults: `--baseline results/baselines --fresh results
@@ -30,7 +38,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use autobatch_bench::gate::{check_coverage, check_regression, is_ungated, parse_flat_json, Row};
+use autobatch_bench::gate::{
+    check_coverage, check_exact, check_regression, is_ungated, parse_flat_json, Row,
+};
 
 /// One artifact's verdict, for the report and the step summary.
 struct FileReport {
@@ -55,7 +65,12 @@ fn bench_files(dir: &Path) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
-fn run(baseline_dir: &Path, fresh_dir: &Path, tolerance: f64) -> Result<Vec<FileReport>, String> {
+fn run(
+    baseline_dir: &Path,
+    fresh_dir: &Path,
+    tolerance: f64,
+    exact_only: bool,
+) -> Result<Vec<FileReport>, String> {
     let baselines = bench_files(baseline_dir)?;
     if baselines.is_empty() {
         return Err(format!(
@@ -79,8 +94,13 @@ fn run(baseline_dir: &Path, fresh_dir: &Path, tolerance: f64) -> Result<Vec<File
         }
         let base_rows = parse_file(&baseline_dir.join(name))?;
         let fresh_rows = parse_file(&fresh_path)?;
-        let mut failures = check_regression(&base_rows, &fresh_rows, tolerance);
-        failures.extend(check_coverage(&base_rows, &fresh_rows));
+        let failures = if exact_only {
+            check_exact(&base_rows, &fresh_rows)
+        } else {
+            let mut failures = check_regression(&base_rows, &fresh_rows, tolerance);
+            failures.extend(check_coverage(&base_rows, &fresh_rows));
+            failures
+        };
         reports.push(FileReport {
             name: name.clone(),
             baseline_rows: base_rows.len(),
@@ -161,6 +181,7 @@ fn main() -> ExitCode {
     let mut baseline_dir = PathBuf::from("results/baselines");
     let mut fresh_dir = PathBuf::from("results");
     let mut tolerance = 0.20_f64;
+    let mut exact_only = false;
     let mut i = 0;
     while i < args.len() {
         let flag_value = |i: &mut usize| -> Option<String> {
@@ -189,17 +210,19 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
+            "--exact-only" => exact_only = true,
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: bench_gate [--baseline DIR] [--fresh DIR] [--tolerance FRACTION]"
+                    "usage: bench_gate [--baseline DIR] [--fresh DIR] [--tolerance FRACTION] \
+                     [--exact-only]"
                 );
                 return ExitCode::FAILURE;
             }
         }
         i += 1;
     }
-    match run(&baseline_dir, &fresh_dir, tolerance) {
+    match run(&baseline_dir, &fresh_dir, tolerance, exact_only) {
         Ok(reports) => {
             let mut failed = false;
             for r in &reports {

@@ -241,8 +241,8 @@ fn main() {
                 ("workers", r.workers.to_string()),
                 ("requests", n_requests.to_string()),
                 ("batch", batch.to_string()),
-                // Gated lower-is-better: total supersteps must not
-                // inflate as workers are added (see the gate's METRICS).
+                // Gated exactly: total supersteps must not inflate as
+                // workers are added (see the gate's METRICS).
                 ("supersteps_total", r.supersteps.to_string()),
                 ("launches", r.launches.to_string()),
                 ("sim_time_s", format!("{:.9}", r.sim_time)),

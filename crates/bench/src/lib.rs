@@ -185,8 +185,10 @@ pub mod gate {
     pub enum Direction {
         /// A drop below `baseline × (1 − tolerance)` fails.
         HigherIsBetter,
-        /// A rise above `baseline × (1 + tolerance)` fails.
-        LowerIsBetter,
+        /// Any change fails: the metric is deterministic, so a
+        /// difference is a code change, and a deliberate one comes with
+        /// a baseline refresh.
+        Exact,
     }
 
     /// Every metric the gate knows, with its direction and a per-metric
@@ -197,24 +199,6 @@ pub mod gate {
     /// - `supersteps_per_s` — **host** wall-clock interpreter speed
     ///   from `vm_microbench`; machine-dependent, so the tolerance is
     ///   tripled (a 20% base gate fails only below 40% of baseline);
-    /// - `allocs_per_superstep` — heap allocations per superstep from
-    ///   the counting allocator; a pure code-path property,
-    ///   bit-reproducible across machines, gated at a quarter of the
-    ///   base tolerance and in the *lower-is-better* direction;
-    /// - `p99_latency_s` — 99th-percentile queue latency under deadline
-    ///   admission (`ingress_throughput`); computed on the
-    ///   deterministic virtual clock, so it is reproducible across
-    ///   machines and gated tightly, *lower-is-better*;
-    /// - `availability` — served fraction under deterministic fault
-    ///   injection (`chaos_availability`); pure counts from the seeded
-    ///   fault schedule, bit-reproducible, gated at a quarter of the
-    ///   base tolerance — a drop means fault recovery got worse.
-    /// - `supersteps_total` — total supersteps a sharded run spent
-    ///   serving its fixed request set (`shard_throughput`); the
-    ///   superstep-inflation guard for PC-affinity scheduling. Pure
-    ///   counts from the deterministic cost model, bit-reproducible,
-    ///   gated at a quarter of the base tolerance, *lower-is-better* —
-    ///   a rise means batches got emptier as workers were added.
     /// - `wedge_free` — 1.0 iff the governed fleet finished its
     ///   adversarial request mix with no poisoned shard and no orphaned
     ///   request (`runaway_containment`). Scale 0 makes the gate
@@ -227,15 +211,34 @@ pub mod gate {
     ///   schedule, bit-reproducible, gated at a quarter of the base
     ///   tolerance — a drop means eviction is firing late.
     ///
+    /// The deterministic metrics are gated [exactly](Direction::Exact),
+    /// whatever the tolerance. Each is bit-reproducible across
+    /// machines, so every committed `results/BENCH_*.json` must also
+    /// equal a fresh smoke run on them ([`check_exact`]):
+    ///
+    /// - `allocs_per_superstep` — heap allocations per superstep from
+    ///   `vm_microbench`'s counting allocator; a pure code-path
+    ///   property;
+    /// - `p99_latency_s` — 99th-percentile queue latency under deadline
+    ///   admission (`ingress_throughput`), on the virtual clock;
+    /// - `availability` — served fraction under deterministic fault
+    ///   injection (`chaos_availability`);
+    /// - `supersteps_total` — total supersteps a sharded run spent
+    ///   serving its fixed request set (`shard_throughput`), the
+    ///   superstep-inflation guard for PC-affinity scheduling;
+    /// - `launches` — fused launches the serving benches priced
+    ///   (`serve_throughput`, `shard_throughput`).
+    ///
     /// A row is gated on every metric it carries; rows carrying none
     /// fail (the gate would otherwise silently stop guarding them).
     pub const METRICS: &[(&str, Direction, f64)] = &[
         (METRIC, Direction::HigherIsBetter, 1.0),
         ("supersteps_per_s", Direction::HigherIsBetter, 3.0),
-        ("allocs_per_superstep", Direction::LowerIsBetter, 0.25),
-        ("p99_latency_s", Direction::LowerIsBetter, 0.25),
-        ("availability", Direction::HigherIsBetter, 0.25),
-        ("supersteps_total", Direction::LowerIsBetter, 0.25),
+        ("allocs_per_superstep", Direction::Exact, 0.0),
+        ("p99_latency_s", Direction::Exact, 0.0),
+        ("availability", Direction::Exact, 0.0),
+        ("supersteps_total", Direction::Exact, 0.0),
+        ("launches", Direction::Exact, 0.0),
         ("wedge_free", Direction::HigherIsBetter, 0.0),
         (
             "contained_within_budget_frac",
@@ -414,9 +417,9 @@ pub mod gate {
     /// Compare `fresh` against `baseline` row by row. A failure is
     /// reported when a baseline row is missing from the fresh run
     /// (coverage loss), or when any [`METRICS`] entry the baseline row
-    /// carries regressed beyond its direction-aware, scaled tolerance
-    /// (e.g. base `0.2` = `requests_per_s` fails below 80% of
-    /// baseline, `allocs_per_superstep` fails above 105%). Rows marked
+    /// carries regressed beyond its scaled tolerance (e.g. base `0.2` =
+    /// `requests_per_s` fails below 80% of baseline) or, for an
+    /// [exact](Direction::Exact) metric, changed at all. Rows marked
     /// [`UNGATED_FIELD`] are skipped. Rows only present in the fresh
     /// run pass here — [`check_coverage`] is the other direction.
     /// Returns human-readable failure lines; empty means the gate holds.
@@ -442,48 +445,38 @@ pub mod gate {
                     failures.push(format!("[{key}] fresh row lacks numeric {metric}"));
                     continue;
                 };
-                let tol = (tolerance * scale).clamp(0.0, 0.95);
-                // A zero baseline has no relative band: `baseline ×
-                // (1 ± tol)` collapses to 0, so any nonzero fresh value
-                // fails lower-is-better metrics no matter the tolerance
-                // while higher-is-better metrics are never gated at
-                // all, and a percent-of-baseline report would divide by
-                // zero. Gate such rows on absolute slack in the
-                // metric's own units instead.
-                if base_metric == 0.0 {
-                    let regressed = match direction {
-                        Direction::HigherIsBetter => new_metric < -tol,
-                        Direction::LowerIsBetter => new_metric > tol,
-                    };
-                    if regressed {
+                if direction == Direction::Exact {
+                    if new_metric != base_metric {
                         failures.push(format!(
-                            "[{key}] {metric} regressed: {new_metric:.6} against a zero \
-                             baseline (absolute slack {tol:.6})"
+                            "[{key}] {metric} changed: {new_metric} != baseline {base_metric} \
+                             (deterministic, gated exactly; a deliberate change needs a \
+                             baseline refresh)"
                         ));
                     }
                     continue;
                 }
-                match direction {
-                    Direction::HigherIsBetter => {
-                        let floor = base_metric * (1.0 - tol);
-                        if new_metric < floor {
-                            failures.push(format!(
-                                "[{key}] {metric} regressed: {new_metric:.6} < {floor:.6} \
-                                 (baseline {base_metric:.6}, tolerance {:.0}%)",
-                                tol * 100.0
-                            ));
+                let tol = (tolerance * scale).clamp(0.0, 0.95);
+                // A zero baseline has no relative band: `baseline ×
+                // (1 − tol)` collapses to 0, so the metric would never be
+                // gated at all, and a percent-of-baseline report would
+                // divide by zero. Gate such rows on absolute slack in
+                // the metric's own units instead.
+                let floor = if base_metric == 0.0 {
+                    -tol
+                } else {
+                    base_metric * (1.0 - tol)
+                };
+                if new_metric < floor {
+                    failures.push(format!(
+                        "[{key}] {metric} regressed: {new_metric:.6} < {floor:.6} \
+                         (baseline {base_metric:.6}, tolerance {:.0}%{})",
+                        tol * 100.0,
+                        if base_metric == 0.0 {
+                            ", absolute slack against a zero baseline"
+                        } else {
+                            ""
                         }
-                    }
-                    Direction::LowerIsBetter => {
-                        let ceiling = base_metric * (1.0 + tol);
-                        if new_metric > ceiling {
-                            failures.push(format!(
-                                "[{key}] {metric} regressed: {new_metric:.6} > {ceiling:.6} \
-                                 (baseline {base_metric:.6}, tolerance {:.0}%)",
-                                tol * 100.0
-                            ));
-                        }
-                    }
+                    ));
                 }
             }
             if gated == 0 {
@@ -529,6 +522,49 @@ pub mod gate {
                     ));
                 }
             }
+        }
+        failures
+    }
+
+    /// Check that `committed` artifacts equal a `fresh` rerun on every
+    /// [exact](Direction::Exact) metric, in both directions: each gated row must exist
+    /// on both sides, and each exact field must carry the same value
+    /// (or be absent from both). A committed `results/BENCH_*.json`
+    /// that drifted from what the code produces would let the gate pass
+    /// against stale numbers. Rows marked [`UNGATED_FIELD`] are exempt.
+    /// Returns human-readable failure lines; empty means they agree.
+    pub fn check_exact(committed: &[Row], fresh: &[Row]) -> Vec<String> {
+        let by_key = |rows: &[Row]| -> BTreeMap<String, Row> {
+            rows.iter()
+                .filter(|r| !is_ungated(r))
+                .map(|r| (row_key(r), r.clone()))
+                .collect()
+        };
+        let (committed, fresh) = (by_key(committed), by_key(fresh));
+        let mut failures = Vec::new();
+        for (key, old) in &committed {
+            let Some(new) = fresh.get(key) else {
+                failures.push(format!("[{key}] missing from the fresh run"));
+                continue;
+            };
+            let exact = METRICS.iter().filter(|m| m.1 == Direction::Exact);
+            for &(metric, _, _) in exact {
+                let (a, b) = (
+                    old.get(metric).and_then(JsonValue::as_num),
+                    new.get(metric).and_then(JsonValue::as_num),
+                );
+                if a != b {
+                    failures.push(format!(
+                        "[{key}] {metric}: committed {a:?} != fresh {b:?} — rerun the bench \
+                         and commit its output"
+                    ));
+                }
+            }
+        }
+        for key in fresh.keys().filter(|k| !committed.contains_key(*k)) {
+            failures.push(format!(
+                "[{key}] fresh row is not in the committed artifact"
+            ));
         }
         failures
     }

@@ -1542,23 +1542,20 @@ impl<'p> PcMachine<'p> {
     fn update_peak_bytes(&mut self) {
         // Registers and stack tops hold one row per lane regardless of
         // stack depth; only the occupied store frames vary by lane.
+        // Nothing here may allocate: it runs on every superstep.
         let mut base: u64 = 0;
-        let mut frames: Vec<(usize, u64)> = Vec::new();
         for slot in self.st.registers.iter().flatten() {
             base += elem_bytes(slot.shape(), 1, slot.dtype());
         }
-        for (si, s) in self.st.stacked.iter().enumerate() {
-            if let Some(top) = &s.top {
-                base += elem_bytes(top.shape(), 1, top.dtype());
-            }
-            if let Some(store) = &s.store {
-                frames.push((si, elem_bytes(store.shape(), 2, store.dtype())));
-            }
+        for top in self.st.stacked.iter().filter_map(|s| s.top.as_ref()) {
+            base += elem_bytes(top.shape(), 1, top.dtype());
         }
         for b in 0..self.st.z {
             let mut bytes = base;
-            for &(si, per_frame) in &frames {
-                bytes += self.st.stacked[si].sp[b] as u64 * per_frame;
+            for s in &self.st.stacked {
+                if let Some(store) = &s.store {
+                    bytes += s.sp[b] as u64 * elem_bytes(store.shape(), 2, store.dtype());
+                }
             }
             if bytes > self.peak_bytes[b] {
                 self.peak_bytes[b] = bytes;
@@ -1625,8 +1622,8 @@ impl<'p> PcMachine<'p> {
             .collect();
         self.st.member_keys = keep.iter().map(|&b| self.st.member_keys[b]).collect();
         self.tickets = keep.iter().map(|&b| self.tickets[b]).collect();
-        self.spent = keep.iter().map(|&b| self.spent[b]).collect();
-        self.peak_bytes = keep.iter().map(|&b| self.peak_bytes[b]).collect();
+        compact_in_place(&mut self.spent, &keep);
+        compact_in_place(&mut self.peak_bytes, &keep);
         for s in self.st.stacked.iter_mut() {
             s.sp = keep.iter().map(|&b| s.sp[b]).collect();
             if let Some(top) = &s.top {
@@ -1815,8 +1812,8 @@ impl<'p> PcMachine<'p> {
             .collect();
         self.st.member_keys = keep.iter().map(|&b| self.st.member_keys[b]).collect();
         self.tickets = keep.iter().map(|&b| self.tickets[b]).collect();
-        self.spent = keep.iter().map(|&b| self.spent[b]).collect();
-        self.peak_bytes = keep.iter().map(|&b| self.peak_bytes[b]).collect();
+        compact_in_place(&mut self.spent, &keep);
+        compact_in_place(&mut self.peak_bytes, &keep);
         for s in self.st.stacked.iter_mut() {
             s.sp = keep.iter().map(|&b| s.sp[b]).collect();
             if let Some(top) = &s.top {
@@ -2004,6 +2001,15 @@ impl<'p> PcMachine<'p> {
 /// Resident bytes of one member's slice of a batched buffer: the
 /// element volume past the leading `skip` axes (batch axes) times the
 /// dtype width.
+/// Keep only the rows `keep` names (ascending lane indices), moving
+/// them to the front without allocating.
+fn compact_in_place<T: Copy>(v: &mut Vec<T>, keep: &[usize]) {
+    for (i, &b) in keep.iter().enumerate() {
+        v[i] = v[b];
+    }
+    v.truncate(keep.len());
+}
+
 fn elem_bytes(shape: &[usize], skip: usize, dtype: DType) -> u64 {
     shape[skip..].iter().product::<usize>() as u64 * dtype.size_bytes() as u64
 }

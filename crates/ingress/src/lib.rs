@@ -6,12 +6,11 @@
 //!
 //! ```text
 //! clients ──TCP──▶ connection threads ──mpsc──▶ engine thread
-//!    ▲  (length-prefixed frames, wire.rs)          │ collect until the
-//!    │                                             │ batch fills or the
-//!    └───────────── response frames ◀──────────────┘ oldest request's
-//!                                                    deadline expires,
-//!                                                    then drive the
-//!                                                    ShardedServer
+//!    ▲  (length-prefixed frames, wire.rs)          │ submit each arrival,
+//!    │                                             │ run one supervised
+//!    └───────────── response frames ◀──────────────┘ round, answer what
+//!                   (one per request, the round      it retired; repeat
+//!                    it retires)
 //! ```
 //!
 //! - **Thread-per-connection** readers decode [`wire`] frames and
@@ -19,22 +18,32 @@
 //!   runtime: blocking reads with a short timeout double as the
 //!   shutdown poll.
 //! - The **engine thread** owns the program and a [`ShardedServer`]
-//!   configured with
-//!   [`AdmissionPolicy::Deadline`]: it collects arrivals until they can
-//!   fill every lane (`workers × max_batch`) **or** the oldest arrival
-//!   has waited [`IngressConfig::max_wait`] — OpenVINO-style auto-batch
-//!   collection — then stamps the virtual clock from the real clock
-//!   (nanosecond ticks) and runs the batch to completion.
+//!   whose shards run [`AdmissionPolicy::Deadline`]. Batching is
+//!   continuous: every arrival goes straight into a shard queue, and
+//!   the shard admits it into its *running* batch once the queue can
+//!   fill every free lane or the oldest request has waited
+//!   [`IngressConfig::max_wait`] — the one place `max_batch` and
+//!   `max_wait` apply. The engine drives the fleet one
+//!   [`Supervisor::run_round`] at a time (a bounded quantum of
+//!   supersteps per busy shard) and answers every request the round
+//!   resolved before starting the next, so a short request never waits
+//!   for a long batchmate. Before each round it stamps the virtual
+//!   clock from the real clock (nanosecond ticks); with no lane in
+//!   flight it blocks until the next arrival or the fleet's earliest
+//!   [`ShardedServer::next_deadline`], and it never fast-forwards the
+//!   clock. Cancel frames and disconnects cancel the named requests
+//!   between rounds: queued ones leave their queue, in-flight lanes are
+//!   evicted at the next superstep boundary.
 //! - **Backpressure**: with [`IngressConfig::queue_budget`] set, a
 //!   request arriving while `budget × workers` are already waiting is
 //!   refused immediately with a typed
 //!   [`Overloaded`](wire::RejectCode::Overloaded) reject frame carrying
 //!   the observed depth and the budget — the wire image of
 //!   `ServeError::Overloaded`. The budget is enforced at the
-//!   *connection* threads through a shared counter covering both the
-//!   channel and the engine's collection buffer, so a burst arriving
-//!   while the engine is mid-flush is shed right away instead of piling
-//!   up unboundedly in the channel until the flush returns.
+//!   *connection* threads through a shared counter covering everything
+//!   decoded but not yet admitted to a lane — the channel plus the
+//!   shards' queues — so a burst arriving while every lane is busy is
+//!   shed right away instead of piling up unboundedly.
 //! - **Self-healing**: the engine drives the fleet through a
 //!   [`Supervisor`]: a worker panic or injected execution fault poisons
 //!   one shard, which is salvaged and respawned while its stranded work
@@ -56,7 +65,7 @@
 
 pub mod wire;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -72,8 +81,8 @@ use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{ExecOptions, KernelRegistry, VmError};
 use autobatch_ir::pcab::Program;
 use autobatch_serve::{
-    AdmissionPolicy, Outcome, Request, RequestBudget, Response, SchedulingPolicy, ServeError,
-    ShardedServer, Supervisor, SupervisorConfig,
+    AdmissionPolicy, Outcome, Request, RequestBudget, SchedulingPolicy, ServeError, ShardedServer,
+    Supervisor, SupervisorConfig,
 };
 use autobatch_tensor::Tensor;
 
@@ -157,8 +166,7 @@ pub struct IngressConfig {
     /// How the fleet routes and rebalances work across shards. The
     /// default is least-loaded; [`SchedulingPolicy::PcAffinity`] packs
     /// shards by program counter, migrates stragglers, and steals work
-    /// for idle shards — results and response order are unchanged
-    /// either way.
+    /// for idle shards — results are unchanged either way.
     pub scheduling: SchedulingPolicy,
     /// Per-request resource ceilings enforced at every superstep
     /// boundary: max supersteps, virtual-clock deadline, peak lane
@@ -211,12 +219,15 @@ pub struct IngressStats {
     pub retried: u64,
     /// Shards respawned after a poisoning error or worker panic.
     pub respawned: u64,
-    /// Deepest the engine's collection buffer ever got.
+    /// The most requests ever waiting at once between decoding and
+    /// lane admission: in the channel to the engine or in a shard
+    /// queue. With a queue budget set, arrivals are shed rather than
+    /// push it past `queue_budget × workers`.
     pub peak_buffered: usize,
     /// Deepest any shard's admission queue ever got.
     pub peak_queue: usize,
     /// Requests cancelled before completion — by a `0x06` cancel frame
-    /// or a client disconnect — whether still buffered or already in
+    /// or a client disconnect — whether still queued or already in
     /// flight (lane evicted at a superstep boundary).
     pub cancelled: u64,
     /// Requests evicted for blowing a per-request resource budget
@@ -245,8 +256,8 @@ impl IngressHandle {
         self.addr
     }
 
-    /// Stop accepting, drain buffered work, join all threads, and
-    /// return the lifetime counters.
+    /// Stop accepting, drain queued and in-flight work, join all
+    /// threads, and return the lifetime counters.
     pub fn shutdown(mut self) -> IngressStats {
         self.join().unwrap_or_default()
     }
@@ -268,14 +279,16 @@ impl Drop for IngressHandle {
 
 /// The fleet-wide admission gate shared by the connection threads and
 /// the engine. It bounds how many decoded requests may wait anywhere
-/// between a TCP reader and batch admission — the mpsc channel plus the
-/// engine's collection buffer — so the configured budget holds even
-/// while the engine is blocked inside a flush: excess arrivals are shed
-/// at the connection instead of accumulating in the unbounded channel.
+/// between a TCP reader and lane admission — the mpsc channel plus the
+/// shards' admission queues — so the configured budget holds however
+/// far behind the engine falls: excess arrivals are shed at the
+/// connection instead of accumulating in the unbounded channel.
 #[derive(Debug)]
 struct Gate {
-    /// Requests decoded but not yet handed to the batch server.
+    /// Requests decoded but not yet admitted to a lane.
     queued: AtomicUsize,
+    /// The deepest `queued` has been.
+    peak: AtomicUsize,
     /// `queue_budget × workers`; `None` disables shedding.
     budget: Option<usize>,
     /// Requests shed at the front door, over the server's lifetime.
@@ -288,6 +301,7 @@ impl Gate {
     fn new(budget: Option<usize>) -> Gate {
         Gate {
             queued: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
             budget,
             shed: AtomicU64::new(0),
             bad_frames: AtomicU64::new(0),
@@ -306,14 +320,29 @@ impl Gate {
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 Err(prev)
             }
-            _ => Ok(()),
+            _ => {
+                self.peak.fetch_max(prev + 1, Ordering::Relaxed);
+                Ok(())
+            }
         }
     }
 
-    /// Give back `n` slots once their requests reach the batch server
-    /// (or are refused at submission).
-    fn release(&self, n: usize) {
-        self.queued.fetch_sub(n, Ordering::SeqCst);
+    /// Re-point the engine's share of the gate — `held` slots, one per
+    /// request it received — at the fleet's queue depth: slots of
+    /// requests that reached a lane or were refused go back, and a
+    /// retry the supervisor re-queued takes one.
+    fn sync(&self, held: &mut usize, fleet_pending: usize) {
+        if fleet_pending < *held {
+            self.queued
+                .fetch_sub(*held - fleet_pending, Ordering::SeqCst);
+        } else if fleet_pending > *held {
+            let prev = self
+                .queued
+                .fetch_add(fleet_pending - *held, Ordering::SeqCst);
+            self.peak
+                .fetch_max(prev + fleet_pending - *held, Ordering::Relaxed);
+        }
+        *held = fleet_pending;
     }
 }
 
@@ -418,15 +447,6 @@ fn conn_token(conn: &Arc<Mutex<TcpStream>>) -> usize {
     Arc::as_ptr(conn) as usize
 }
 
-/// A request admitted by the gate, waiting in the engine's collection
-/// buffer for the next flush. Cancels and disconnects are resolved on
-/// receipt, so only requests are ever buffered.
-struct Buffered {
-    conn: Arc<Mutex<TcpStream>>,
-    request: WireRequest,
-    at: Instant,
-}
-
 fn listener_loop(
     listener: &TcpListener,
     tx: &Sender<Arrival>,
@@ -438,6 +458,14 @@ fn listener_loop(
         return;
     }
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    let spawn = |stream: TcpStream, conns: &mut Vec<JoinHandle<()>>| {
+        let tx = tx.clone();
+        let stop = Arc::clone(stop);
+        let gate = Arc::clone(gate);
+        conns.push(std::thread::spawn(move || {
+            connection_loop(stream, &tx, &stop, &gate, fault);
+        }));
+    };
     while !stop.load(Ordering::Relaxed) {
         // Reap finished connection threads as we go: a long-lived server
         // accepting many short connections must not grow `conns` (and
@@ -451,17 +479,18 @@ fn listener_loop(
             }
         }
         match listener.accept() {
-            Ok((stream, _)) => {
-                let tx = tx.clone();
-                let stop = Arc::clone(stop);
-                let gate = Arc::clone(gate);
-                conns.push(std::thread::spawn(move || {
-                    connection_loop(stream, &tx, &stop, &gate, fault);
-                }));
-            }
+            Ok((stream, _)) => spawn(stream, &mut conns),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => break,
         }
+    }
+    // Connections the kernel completed before the stop may still sit in
+    // the backlog, their clients already sending. Closing the listener
+    // would reset them with no answer at all: accept them into the
+    // shutdown path instead, which refuses each request with a typed
+    // Shutdown reject.
+    while let Ok((stream, _)) = listener.accept() {
+        spawn(stream, &mut conns);
     }
     for c in conns {
         let _ = c.join();
@@ -552,7 +581,7 @@ fn connection_body(
                 match wire::decode(&payload) {
                     Ok(Message::Request(request)) => {
                         // Shed at the reader, before the channel: the budget
-                        // must hold even while the engine is mid-flush.
+                        // must hold however far behind the engine falls.
                         if let Err(depth) = gate.admit() {
                             let budget = gate.budget.unwrap_or(0);
                             let e = ServeError::Overloaded { depth, budget };
@@ -655,13 +684,10 @@ fn send_reject(
     }
 }
 
-/// An accepted request waiting for its batch to complete.
+/// A submitted request awaiting its terminal outcome.
 struct Pending {
     conn: Arc<Mutex<TcpStream>>,
     client_id: u64,
-    /// When the request arrived at its connection thread; the wall-clock
-    /// epoch of the queue wait reported to the client.
-    at: Instant,
 }
 
 fn engine_loop(
@@ -682,311 +708,196 @@ fn engine_loop(
     fleet.set_scheduling(config.scheduling);
     // The supervisor owns fault recovery: worker panics and injected
     // execution faults poison one shard, which is respawned and its
-    // work retried — the flush below never sees a wedged fleet. It also
-    // owns governance: per-request budgets bound every lane, and the
+    // work retried — the engine never sees a wedged fleet. It also owns
+    // governance: per-request budgets bound every lane, and the
     // quarantine breaker fast-rejects programs that keep blowing them.
     let mut server = Supervisor::new(fleet, config.supervisor);
     server.set_budget(config.budget);
-    let capacity = config.workers.saturating_mul(config.max_batch);
     let epoch = Instant::now();
     let ticks = |t: Instant| {
         u64::try_from(t.saturating_duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
     };
 
     let mut stats = IngressStats::default();
-    let mut buf: VecDeque<Buffered> = VecDeque::new();
+    // Requests are renumbered with engine-unique ids so ids chosen by
+    // different connections cannot collide inside the server; the
+    // client's id is restored on the reply.
+    let mut outstanding: HashMap<u64, Pending> = HashMap::new();
     let mut next_eid: u64 = 0;
+    // Gate slots the engine holds for requests queued in the fleet.
+    let mut held: usize = 0;
     let mut disconnected = false;
     loop {
-        if !disconnected {
-            // Sleep until the next arrival, the head-of-line deadline,
-            // or the poll tick, whichever is first.
-            let timeout = buf
-                .front()
-                .map(|a| {
-                    (a.at + config.max_wait)
-                        .saturating_duration_since(Instant::now())
-                        .min(POLL)
-                })
-                .unwrap_or(POLL);
-            match rx.recv_timeout(timeout) {
-                Ok(a) => accept(a, &mut buf, gate, &mut stats),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
+        // Block only when no lane is in flight: then nothing can change
+        // before the next arrival or the fleet's earliest admission
+        // deadline. The wait is real time; the clock is never
+        // fast-forwarded.
+        let wait = if server.inner().in_flight() > 0 {
+            Duration::ZERO
+        } else {
+            server.inner().next_deadline().map_or(POLL, |t| {
+                Duration::from_nanos(t.saturating_sub(ticks(Instant::now()))).min(POLL)
+            })
+        };
+        let first = if disconnected {
+            std::thread::sleep(wait);
+            None
+        } else {
+            match rx.recv_timeout(wait) {
+                Ok(a) => Some(a),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => {
+                    disconnected = true;
+                    None
+                }
             }
-            while let Ok(a) = rx.try_recv() {
-                accept(a, &mut buf, gate, &mut stats);
+        };
+        for arrival in first
+            .into_iter()
+            .chain(std::iter::from_fn(|| rx.try_recv().ok()))
+        {
+            match arrival {
+                Arrival::Request { conn, request, at } => {
+                    held += 1;
+                    // Stamp the queue entry at its real arrival time, so
+                    // the shards' deadline admission sees the wait the
+                    // client actually incurred.
+                    server.set_clock(ticks(at));
+                    let eid = next_eid;
+                    next_eid += 1;
+                    let client_id = request.id;
+                    let submitted = server.submit(Request {
+                        id: eid,
+                        seed: request.seed,
+                        inputs: request.inputs,
+                    });
+                    match submitted {
+                        Ok(()) => {
+                            outstanding.insert(eid, Pending { conn, client_id });
+                        }
+                        Err(e) => refuse(&conn, client_id, &e, &mut stats),
+                    }
+                }
+                // A cancel matching nothing lost its race: the request
+                // was already answered (completion wins). Per-connection
+                // channel FIFO guarantees a cancel never overtakes the
+                // request it names. A disconnect cancels everything the
+                // dead connection still has pending; nobody will read
+                // those replies.
+                Arrival::Cancel { client_id, token } => {
+                    let hit = outstanding
+                        .iter()
+                        .find(|(_, p)| p.client_id == client_id && conn_token(&p.conn) == token);
+                    if let Some((&eid, _)) = hit {
+                        server.cancel(eid);
+                    }
+                }
+                Arrival::Disconnect { token } => {
+                    for (&eid, p) in &outstanding {
+                        if conn_token(&p.conn) == token {
+                            server.cancel(eid);
+                        }
+                    }
+                }
             }
         }
-        let full = buf.len() >= capacity;
-        let expired = buf
-            .front()
-            .is_some_and(|a| a.at.elapsed() >= config.max_wait);
-        if !buf.is_empty() && (full || expired || disconnected) {
-            flush(
-                &mut server,
-                &mut buf,
-                rx,
-                &mut next_eid,
-                &ticks,
-                gate,
-                &mut stats,
-            );
-        }
-        if disconnected && buf.is_empty() {
+        if disconnected && server.outstanding() == 0 {
             break;
         }
+        server.set_clock(ticks(Instant::now()));
+        // One supervised round — heal, retry, govern, at most a quantum
+        // of supersteps per busy shard — then answer every request it
+        // resolved, right away.
+        for outcome in server.run_round() {
+            if let Some(p) = outstanding.remove(&outcome.id()) {
+                answer(&p, outcome, &mut stats);
+            }
+        }
+        gate.sync(&mut held, server.inner().pending());
+    }
+    // Unreachable under the supervisor's exactly-one-outcome contract;
+    // answered defensively so no client ever hangs.
+    for (_, p) in outstanding.drain() {
+        send_reject(
+            &p.conn,
+            p.client_id,
+            RejectCode::Internal,
+            0,
+            0,
+            "request lost",
+        );
+        stats.failed += 1;
     }
     stats.shed = gate.shed.load(Ordering::Relaxed);
     stats.bad_frames = gate.bad_frames.load(Ordering::Relaxed);
+    stats.peak_buffered = gate.peak.load(Ordering::Relaxed);
     stats.retried = server.retries();
     stats.respawned = server.respawns();
     stats.peak_queue = server.inner().peak_pending();
     stats
 }
 
-/// Fold one arrival into the collection buffer. Shedding already
-/// happened at the connection thread ([`Gate::admit`]), so every
-/// request that reaches the engine is within budget. Cancels and
-/// disconnects resolve immediately against the buffer: a matched
-/// request is answered with [`RejectCode::Cancelled`] and its gate slot
-/// freed, while a cancel that matches nothing lost its race — the
-/// request already flushed and has been (or will be) answered — and is
-/// dropped. Per-connection channel FIFO guarantees a cancel is never
-/// accepted before the request it names.
-fn accept(arrival: Arrival, buf: &mut VecDeque<Buffered>, gate: &Gate, stats: &mut IngressStats) {
-    match arrival {
-        Arrival::Request { conn, request, at } => {
-            buf.push_back(Buffered { conn, request, at });
-            stats.peak_buffered = stats.peak_buffered.max(buf.len());
-        }
-        Arrival::Cancel { client_id, token } => {
-            let hit = buf
-                .iter()
-                .position(|b| b.request.id == client_id && conn_token(&b.conn) == token);
-            if let Some(i) = hit {
-                let b = buf.remove(i).expect("position came from this buffer");
-                gate.release(1);
-                send_reject(
-                    &b.conn,
-                    client_id,
-                    RejectCode::Cancelled,
-                    0,
-                    0,
-                    "cancelled by the caller before admission",
-                );
-                stats.cancelled += 1;
-            }
-        }
-        Arrival::Disconnect { token } => {
-            // The client is gone: nobody will read these replies, so
-            // the buffered requests are dropped without an answer.
-            let before = buf.len();
-            buf.retain(|b| conn_token(&b.conn) != token);
-            let dropped = before - buf.len();
-            gate.release(dropped);
-            stats.cancelled += dropped as u64;
-        }
-    }
-}
-
-/// Submit everything collected so far and drive the supervised fleet to
-/// quiescence, answering every request's terminal outcome on its
-/// connection.
-#[allow(clippy::too_many_arguments)]
-fn flush(
-    server: &mut Supervisor<'_>,
-    buf: &mut VecDeque<Buffered>,
-    rx: &Receiver<Arrival>,
-    next_eid: &mut u64,
-    ticks: &dyn Fn(Instant) -> u64,
-    gate: &Gate,
-    stats: &mut IngressStats,
-) {
-    // Requests are renumbered with engine-unique ids so ids chosen by
-    // different connections cannot collide inside the server; the
-    // client's id is restored on the reply.
-    let mut outstanding: HashMap<u64, Pending> = HashMap::new();
-    let drained = buf.len();
-    for Buffered { conn, request, at } in buf.drain(..) {
-        let eid = *next_eid;
-        *next_eid += 1;
-        // Stamp the queue entry at its real arrival time so the shards'
-        // deadline admission sees the wait the client actually incurred.
-        server.set_clock(ticks(at));
-        let client_id = request.id;
-        let submitted = server.submit(Request {
-            id: eid,
-            seed: request.seed,
-            inputs: request.inputs,
-        });
-        match submitted {
-            Ok(()) => {
-                outstanding.insert(
-                    eid,
-                    Pending {
-                        conn,
-                        client_id,
-                        at,
-                    },
-                );
-            }
-            Err(e) => {
-                // The submission error is this request's terminal
-                // outcome. Refusals map to their wire image; an
-                // admission fault that outlasted the supervisor's retry
-                // budget is the server's fault, not the request's. A
-                // signature violation gets its own code: the frame was
-                // well-formed, but the payload can never execute under
-                // the served program's statically inferred signature.
-                // A quarantined program is fast-rejected before it can
-                // touch the fleet at all.
-                let code = match &e {
-                    ServeError::Overloaded { .. } => RejectCode::Overloaded,
-                    ServeError::RetriesExhausted { .. } => RejectCode::Internal,
-                    ServeError::InvalidRequest(_) => RejectCode::Invalid,
-                    ServeError::Quarantined { .. } => RejectCode::Quarantined,
-                    _ => RejectCode::BadRequest,
-                };
-                send_reject(&conn, client_id, code, 0, 0, &e.to_string());
-                match code {
-                    RejectCode::Internal => stats.failed += 1,
-                    RejectCode::Quarantined => stats.quarantined += 1,
-                    _ => stats.rejected += 1,
-                }
-            }
-        }
-    }
-    gate.release(drained);
-    server.set_clock(ticks(Instant::now()));
-    // The instant the fleet takes over: the wall-clock end of every
-    // request's queue wait (see `deliver`).
-    let admitted = Instant::now();
-    // The supervisor heals as it drives: poisoned shards are respawned,
-    // their stranded and lost work retried under a bounded budget, and
-    // every submitted request resolves to exactly one terminal outcome.
-    // Arrivals landing while the fleet runs are folded in live through
-    // the poll hook: a cancel or disconnect naming an in-flight request
-    // evicts its lane at the next superstep boundary; everything else
-    // is stashed and re-buffered after the run.
-    let mut stash: Vec<Arrival> = Vec::new();
-    let outcomes = {
-        let mut hook =
-            || -> Vec<u64> {
-                let mut evict: Vec<u64> = Vec::new();
-                while let Ok(a) = rx.try_recv() {
-                    match a {
-                        Arrival::Cancel { client_id, token } => {
-                            let hit = outstanding.iter().find(|(_, p)| {
-                                p.client_id == client_id && conn_token(&p.conn) == token
-                            });
-                            match hit {
-                                Some((&eid, _)) => evict.push(eid),
-                                // The named request is not in this flight:
-                                // it may be sitting in the stash, so the
-                                // cancel re-enters admission behind it.
-                                None => stash.push(Arrival::Cancel { client_id, token }),
-                            }
-                        }
-                        Arrival::Disconnect { token } => {
-                            evict.extend(outstanding.iter().filter_map(|(&eid, p)| {
-                                (conn_token(&p.conn) == token).then_some(eid)
-                            }));
-                            // Re-stashed so it also purges any requests the
-                            // dead connection left in the stash.
-                            stash.push(Arrival::Disconnect { token });
-                        }
-                        a @ Arrival::Request { .. } => stash.push(a),
-                    }
-                }
-                evict
-            };
-        server.run_until_quiescent_with(&mut hook)
+/// Answer a request refused at submission: the error is its terminal
+/// outcome. Refusals map to their wire image; an admission fault that
+/// outlasted the supervisor's retry budget is the server's fault, not
+/// the request's. A signature violation gets its own code: the frame
+/// was well-formed, but the payload can never execute under the served
+/// program's statically inferred signature. A quarantined program is
+/// fast-rejected before it can touch the fleet at all.
+fn refuse(conn: &Arc<Mutex<TcpStream>>, client_id: u64, e: &ServeError, stats: &mut IngressStats) {
+    let code = match e {
+        ServeError::Overloaded { .. } => RejectCode::Overloaded,
+        ServeError::RetriesExhausted { .. } => RejectCode::Internal,
+        ServeError::InvalidRequest(_) => RejectCode::Invalid,
+        ServeError::Quarantined { .. } => RejectCode::Quarantined,
+        _ => RejectCode::BadRequest,
     };
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Done(r) => deliver(vec![r], &mut outstanding, admitted, stats),
-            Outcome::Failed { id, error } => {
-                let Some(p) = outstanding.remove(&id) else {
-                    continue;
-                };
-                // Admission errors name the request as the offender,
-                // and governance verdicts carry their spend/limit pair
-                // onto the wire; anything else (step-limit exhaustion,
-                // a retry budget burned on panics or exec faults) is
-                // the server's fault, not the request's.
-                let (code, a, b) = match &error {
-                    ServeError::Vm(VmError::BadInputs { .. }) => (RejectCode::BadRequest, 0, 0),
-                    ServeError::BudgetExceeded { spent, limit } => {
-                        (RejectCode::OverBudget, *spent, *limit)
-                    }
-                    ServeError::DeadlineExceeded { elapsed, deadline } => {
-                        (RejectCode::OverBudget, *elapsed, *deadline)
-                    }
-                    ServeError::MemoryExceeded { bytes, limit } => {
-                        (RejectCode::OverBudget, *bytes, *limit)
-                    }
-                    ServeError::Cancelled => (RejectCode::Cancelled, 0, 0),
-                    _ => (RejectCode::Internal, 0, 0),
-                };
-                send_reject(&p.conn, p.client_id, code, a, b, &error.to_string());
-                match code {
-                    RejectCode::BadRequest => stats.rejected += 1,
-                    RejectCode::OverBudget => stats.over_budget += 1,
-                    RejectCode::Cancelled => stats.cancelled += 1,
-                    _ => stats.failed += 1,
-                }
-            }
-        }
-    }
-    if !outstanding.is_empty() {
-        // Unreachable under the supervisor's exactly-one-outcome
-        // contract; answered defensively so no client ever hangs.
-        for (_, p) in outstanding.drain() {
-            send_reject(
-                &p.conn,
-                p.client_id,
-                RejectCode::Internal,
-                0,
-                0,
-                "request lost",
-            );
-            stats.failed += 1;
-        }
-    }
-    // Re-admit what the hook stashed, in arrival order: a stashed
-    // cancel lands after the stashed request it names (per-connection
-    // FIFO), and a disconnect purges whatever its connection left
-    // behind.
-    for a in stash {
-        accept(a, buf, gate, stats);
+    send_reject(conn, client_id, code, 0, 0, &e.to_string());
+    match code {
+        RejectCode::Internal => stats.failed += 1,
+        RejectCode::Quarantined => stats.quarantined += 1,
+        _ => stats.rejected += 1,
     }
 }
 
-fn deliver(
-    responses: Vec<Response>,
-    outstanding: &mut HashMap<u64, Pending>,
-    admitted: Instant,
-    stats: &mut IngressStats,
-) {
-    for r in responses {
-        let Some(p) = outstanding.remove(&r.id) else {
-            continue;
-        };
-        // The queue wait reported to the client is wall-clock: TCP
-        // arrival to the instant this flush handed the batch to the
-        // fleet. The server's own `queued_ticks` is not used here — its
-        // virtual clock can run ahead of real time after a deadline
-        // fast-forward, which would distort later stamps.
-        let queued =
-            u64::try_from(admitted.saturating_duration_since(p.at).as_nanos()).unwrap_or(u64::MAX);
-        if let Ok(payload) = wire::encode_response(p.client_id, queued, &r.outputs) {
-            if let Ok(mut w) = p.conn.lock() {
-                // A vanished client is its own problem; the work is done.
-                let _ = wire::write_frame(&mut *w, &payload);
+/// Write a request's terminal outcome to its connection.
+fn answer(p: &Pending, outcome: Outcome, stats: &mut IngressStats) {
+    let error = match outcome {
+        Outcome::Done(r) => {
+            // The engine clocks the fleet in real nanoseconds since
+            // start and stamps each request at its arrival, so the
+            // server's queue wait is the wall-clock wait.
+            if let Ok(payload) = wire::encode_response(p.client_id, r.queued_ticks, &r.outputs) {
+                if let Ok(mut w) = p.conn.lock() {
+                    // A vanished client is its own problem; the work is done.
+                    let _ = wire::write_frame(&mut *w, &payload);
+                }
             }
+            stats.completed += 1;
+            return;
         }
-        stats.completed += 1;
+        Outcome::Failed { error, .. } => error,
+    };
+    // Admission errors name the request as the offender, and governance
+    // verdicts carry their spend/limit pair onto the wire; anything else
+    // (step-limit exhaustion, a retry budget burned on panics or exec
+    // faults) is the server's fault, not the request's.
+    let (code, a, b) = match &error {
+        ServeError::Vm(VmError::BadInputs { .. }) => (RejectCode::BadRequest, 0, 0),
+        ServeError::BudgetExceeded { spent, limit } => (RejectCode::OverBudget, *spent, *limit),
+        ServeError::DeadlineExceeded { elapsed, deadline } => {
+            (RejectCode::OverBudget, *elapsed, *deadline)
+        }
+        ServeError::MemoryExceeded { bytes, limit } => (RejectCode::OverBudget, *bytes, *limit),
+        ServeError::Cancelled => (RejectCode::Cancelled, 0, 0),
+        _ => (RejectCode::Internal, 0, 0),
+    };
+    send_reject(&p.conn, p.client_id, code, a, b, &error.to_string());
+    match code {
+        RejectCode::BadRequest => stats.rejected += 1,
+        RejectCode::OverBudget => stats.over_budget += 1,
+        RejectCode::Cancelled => stats.cancelled += 1,
+        _ => stats.failed += 1,
     }
 }
 

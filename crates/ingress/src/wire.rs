@@ -124,9 +124,9 @@ pub struct WireRequest {
 pub struct WireResponse {
     /// The id of the request this answers.
     pub id: u64,
-    /// Wall-clock nanoseconds the request spent queued at the ingress:
-    /// from its arrival at the server to the moment its batch was
-    /// handed to the execution fleet.
+    /// Wall-clock nanoseconds from the request's arrival at its
+    /// connection thread to its admission into a lane (for a retried
+    /// request, from its last re-entry into a shard queue).
     pub queued_ticks: u64,
     /// Program outputs, bit-exact as computed.
     pub outputs: Vec<Tensor>,

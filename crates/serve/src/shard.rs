@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use autobatch_accel::{Backend, Trace};
-use autobatch_chaos::FaultPoint;
+use autobatch_chaos::{FaultPlan, FaultPoint};
 use autobatch_core::{ExecOptions, KernelRegistry};
 use autobatch_ir::pcab::Program;
 
@@ -49,10 +49,25 @@ use crate::{
 /// fleet observes it.
 const CANCEL_QUANTUM: u64 = 64;
 
-/// One shard's outcome for a quantum round: the responses it completed
-/// plus the supersteps it actually ran; `None` for shards sitting out
-/// the round (dead or poisoned).
-type RoundOutcome = Option<Result<(Vec<Response>, u64)>>;
+/// A worker turn: the shard's index, the shard, and the counter it
+/// draws injected worker faults against (`None`: no draw this turn).
+type Job<'a, 'p> = (usize, &'a mut Shard<'p>, Option<u64>);
+
+/// How [`ShardedServer::run_rounds`] draws worker faults, and whether it
+/// stops after one round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rounds {
+    /// Run to idle; every round draws fresh counters (PC affinity,
+    /// whose fault plan accounts for that).
+    EveryRound,
+    /// Run to idle; each shard draws once per call, on its first round
+    /// — the one-burst driver's fault frequency, however many quanta
+    /// the drive takes.
+    FirstRound,
+    /// Run one round; only shards with work take a turn, and each draws
+    /// once per busy period ([`ShardedServer::run_round`]).
+    Single,
+}
 
 /// The empty cancellation hook [`ShardedServer::run_until_idle`] drives
 /// the PC-affinity rounds with.
@@ -69,6 +84,85 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Run each job's `work` concurrently and return the outcomes in
+/// shard-index order. Every job gets its own scoped thread except the
+/// first, which runs on the calling thread: with every shard busy, each
+/// shard then allocates from the same malloc arena round after round,
+/// instead of fragmenting its buffers across the arenas of whichever
+/// threads ran it.
+fn run_jobs<'p, T: Send>(
+    jobs: Vec<Job<'_, 'p>>,
+    fault: FaultPlan,
+    work: &(dyn Fn(&mut Shard<'p>) -> Result<T> + Sync),
+) -> Vec<(usize, Result<T>)> {
+    std::thread::scope(|scope| {
+        let mut jobs = jobs.into_iter();
+        let inline = jobs.next();
+        let handles: Vec<_> = jobs
+            .map(|(i, shard, draw)| {
+                (
+                    i,
+                    scope.spawn(move || worker_turn(shard, fault, draw, work)),
+                )
+            })
+            .collect();
+        let mut turns = Vec::with_capacity(handles.len() + 1);
+        if let Some((i, shard, draw)) = inline {
+            turns.push((i, worker_turn(shard, fault, draw, work)));
+        }
+        for (i, h) in handles {
+            // `worker_turn` catches panics, so a join error is
+            // unreachable in practice; stay defensive anyway (e.g. a
+            // panic thrown while dropping the first payload) instead of
+            // taking down the fleet.
+            let turn = h.join().unwrap_or_else(|payload| {
+                Err(ServeError::Panicked {
+                    what: panic_message(payload),
+                })
+            });
+            turns.push((i, turn));
+        }
+        turns.sort_by_key(|&(i, _)| i);
+        turns
+    })
+}
+
+/// One shard's turn under panic containment: draw the injected worker
+/// faults against `draw` (if set), then run `work`. A panic — from a VM
+/// bug or an injected [`FaultPoint::WorkerPanic`] — becomes a typed
+/// [`ServeError::Panicked`] that poisons this shard only, since the
+/// machine may be mid-superstep.
+fn worker_turn<'p, T>(
+    shard: &mut Shard<'p>,
+    fault: FaultPlan,
+    draw: Option<u64>,
+    work: &dyn Fn(&mut Shard<'p>) -> Result<T>,
+) -> Result<T> {
+    if let Some(counter) = draw {
+        if fault.fires(FaultPoint::WorkerSlow, counter) {
+            std::thread::sleep(std::time::Duration::from_micros(
+                fault.delay_micros(counter),
+            ));
+        }
+    }
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(counter) = draw.filter(|&c| fault.fires(FaultPoint::WorkerPanic, c)) {
+            panic!(
+                "injected fault at {} (counter {counter})",
+                FaultPoint::WorkerPanic.name()
+            );
+        }
+        work(shard)
+    }));
+    run.unwrap_or_else(|payload| {
+        let e = ServeError::Panicked {
+            what: panic_message(payload),
+        };
+        shard.server.poison(e.clone());
+        Err(e)
+    })
 }
 
 /// A backend-derived sharding configuration: how many worker threads to
@@ -146,6 +240,9 @@ struct Shard<'p> {
     fault_record: Option<ServeError>,
     /// How many times this slot's server has been rebuilt.
     respawns: u64,
+    /// Whether worker faults were already drawn for the shard's current
+    /// busy period ([`ShardedServer::run_round`]).
+    busy: bool,
 }
 
 /// Observability snapshot of one shard slot, for fleet health reporting
@@ -309,6 +406,7 @@ impl<'p> ShardedServer<'p> {
                     last_error: None,
                     fault_record: None,
                     respawns: 0,
+                    busy: false,
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -600,6 +698,7 @@ impl<'p> ShardedServer<'p> {
             last_error: None,
             fault_record: self.shards[i].fault_record.take(),
             respawns: self.shards[i].respawns + 1,
+            busy: false,
         };
         (stranded, lost)
     }
@@ -866,7 +965,7 @@ impl<'p> ShardedServer<'p> {
         match self.scheduling {
             SchedulingPolicy::LeastLoaded => self.run_fleet_to_idle(),
             SchedulingPolicy::PcAffinity(cfg) => {
-                self.run_rounds(cfg.quantum, Some(cfg), false, &mut noop)
+                self.run_rounds(cfg.quantum, Some(cfg), Rounds::EveryRound, &mut noop)
             }
         }
     }
@@ -884,115 +983,124 @@ impl<'p> ShardedServer<'p> {
         &mut self,
         poll: &mut dyn FnMut() -> Vec<u64>,
     ) -> Result<Vec<Response>> {
+        let (quantum, cfg) = self.quantum();
+        // Without rebalancing (least-loaded), each shard draws worker
+        // faults once per call, like the one-burst driver.
+        let rounds = match cfg {
+            Some(_) => Rounds::EveryRound,
+            None => Rounds::FirstRound,
+        };
+        self.run_rounds(quantum, cfg, rounds, poll)
+    }
+
+    /// Drive the fleet for **one** round: every healthy shard with
+    /// queued or in-flight work runs at most one quantum of supersteps
+    /// (64 under least-loaded scheduling, the affinity quantum — plus
+    /// its rebalance pass — under [`SchedulingPolicy::PcAffinity`]).
+    /// Shards run concurrently; one of them runs on the calling thread,
+    /// and a shard with nothing queued or in flight gets no thread at
+    /// all. Returns the responses completed this round, in submission
+    /// order.
+    ///
+    /// Unlike [`ShardedServer::run_until_idle`] this never advances the
+    /// clock: a shard whose deadline policy is holding a partial batch
+    /// runs zero supersteps until the caller's clock reaches
+    /// [`ShardedServer::next_deadline`]. Worker faults
+    /// ([`FaultPoint::WorkerPanic`], [`FaultPoint::WorkerSlow`]) are
+    /// drawn once per shard per *busy period* — from the round a shard
+    /// picks up work until the round it is left with none — so a
+    /// round-by-round driver sees the same per-attempt fault frequency
+    /// as the one-burst driver, however many rounds an attempt takes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedServer::run_until_idle`].
+    pub fn run_round(&mut self) -> Result<Vec<Response>> {
+        let (quantum, cfg) = self.quantum();
+        self.run_rounds(quantum, cfg, Rounds::Single, &mut noop)
+    }
+
+    /// The earliest virtual-clock tick at which a healthy shard's
+    /// deadline policy force-admits its oldest queued request, if any
+    /// shard is holding one. An event loop that finds no lane in flight
+    /// can sleep until then (or until the next arrival).
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.shards
+            .iter()
+            .filter(|s| !s.poisoned())
+            .filter_map(|s| s.server.next_deadline())
+            .min()
+    }
+
+    /// The round quantum and rebalance plan of the scheduling policy.
+    fn quantum(&self) -> (u64, Option<AffinityConfig>) {
         match self.scheduling {
-            SchedulingPolicy::LeastLoaded => self.run_rounds(CANCEL_QUANTUM, None, true, poll),
-            SchedulingPolicy::PcAffinity(cfg) => {
-                self.run_rounds(cfg.quantum, Some(cfg), false, poll)
-            }
+            SchedulingPolicy::LeastLoaded => (CANCEL_QUANTUM, None),
+            SchedulingPolicy::PcAffinity(cfg) => (cfg.quantum, Some(cfg)),
         }
     }
 
-    /// The least-loaded driver: one scoped thread per healthy shard,
-    /// each running its server to idle in a single burst.
+    /// The least-loaded driver: every healthy shard runs its server to
+    /// idle in a single burst.
     fn run_fleet_to_idle(&mut self) -> Result<Vec<Response>> {
         let round = self.fault_round;
         self.fault_round += 1;
         let nshards = self.shards.len() as u64;
         let fault = self.opts.fault;
-        let results: Vec<Option<Result<Vec<Response>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| {
-                    scope.spawn(move || {
-                        if shard.server.poisoned().is_some() {
-                            return None;
-                        }
-                        // One fleet-unique counter per (round, shard):
-                        // the chaos schedule for worker-level faults.
-                        let counter = round * nshards + i as u64;
-                        if fault.fires(FaultPoint::WorkerSlow, counter) {
-                            std::thread::sleep(std::time::Duration::from_micros(
-                                fault.delay_micros(counter),
-                            ));
-                        }
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            if fault.fires(FaultPoint::WorkerPanic, counter) {
-                                panic!(
-                                    "injected fault at {} (counter {counter})",
-                                    FaultPoint::WorkerPanic.name()
-                                );
-                            }
-                            shard.server.run_until_idle(Some(&mut shard.trace))
-                        }));
-                        Some(match run {
-                            Ok(outcome) => outcome,
-                            Err(payload) => {
-                                // The machine may be mid-superstep;
-                                // poison the shard so nothing drives it
-                                // again before a respawn.
-                                let e = ServeError::Panicked {
-                                    what: panic_message(payload),
-                                };
-                                shard.server.poison(e.clone());
-                                Err(e)
-                            }
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // catch_unwind above makes a worker panic
-                    // unreachable here in practice; stay defensive
-                    // anyway (e.g. a panic thrown while dropping the
-                    // first payload) instead of taking down the fleet.
-                    h.join().unwrap_or_else(|payload| {
-                        Some(Err(ServeError::Panicked {
-                            what: panic_message(payload),
-                        }))
-                    })
-                })
-                .collect()
+        let jobs: Vec<Job<'_, 'p>> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, s)| !s.poisoned())
+            // One fleet-unique counter per (round, shard): the chaos
+            // schedule for worker-level faults.
+            .map(|(i, s)| (i, s, Some(round * nshards + i as u64)))
+            .collect();
+        let turns = run_jobs(jobs, fault, &|s: &mut Shard<'p>| {
+            s.server.run_until_idle(Some(&mut s.trace))
         });
         let mut first_error: Option<ServeError> = None;
-        for (i, outcome) in results.into_iter().enumerate() {
-            match outcome {
-                None => {} // poisoned before this call; skipped
-                Some(Ok(responses)) => {
-                    self.shards[i].last_error = None;
-                    for r in responses {
-                        let seq = Self::pop_seq(&mut self.order, r.id);
-                        self.ready.push((seq, r));
-                    }
-                }
-                Some(Err(e)) => {
-                    // A panic that somehow escaped the in-thread
-                    // containment still has to poison its shard.
-                    if matches!(e, ServeError::Panicked { .. })
-                        && self.shards[i].server.poisoned().is_none()
-                    {
-                        self.shards[i].server.poison(e.clone());
-                    }
-                    // Salvage whatever the failing shard completed
-                    // before the error (take_ready never drives the
-                    // machine, so this is safe even when poisoned).
-                    for r in self.shards[i].server.take_ready() {
-                        let seq = Self::pop_seq(&mut self.order, r.id);
-                        self.ready.push((seq, r));
-                    }
-                    self.shards[i].last_error = Some(e.clone());
-                    self.shards[i].fault_record = Some(e.clone());
-                    first_error.get_or_insert(e);
-                }
+        for (i, turn) in turns {
+            if let Some(e) = self.absorb(i, turn) {
+                first_error.get_or_insert(e);
             }
         }
         match first_error {
             Some(e) => Err(e),
             None => Ok(self.take_ready()),
         }
+    }
+
+    /// Fold one worker turn into the fleet: completions join the ready
+    /// buffer; an error is recorded on the shard after salvaging the
+    /// work it finished first. Returns the error, if any.
+    fn absorb(&mut self, i: usize, turn: Result<Vec<Response>>) -> Option<ServeError> {
+        let e = match turn {
+            Ok(responses) => {
+                self.shards[i].last_error = None;
+                for r in responses {
+                    let seq = Self::pop_seq(&mut self.order, r.id);
+                    self.ready.push((seq, r));
+                }
+                return None;
+            }
+            Err(e) => e,
+        };
+        // A panic that somehow escaped the in-thread containment still
+        // has to poison its shard.
+        if matches!(e, ServeError::Panicked { .. }) && !self.shards[i].poisoned() {
+            self.shards[i].server.poison(e.clone());
+        }
+        // Salvage whatever the failing shard completed before the error
+        // (take_ready never drives the machine, so this is safe even
+        // when poisoned).
+        for r in self.shards[i].server.take_ready() {
+            let seq = Self::pop_seq(&mut self.order, r.id);
+            self.ready.push((seq, r));
+        }
+        self.shards[i].last_error = Some(e.clone());
+        self.shards[i].fault_record = Some(e.clone());
+        Some(e)
     }
 
     /// The round driver: shards run concurrently in rounds of at most
@@ -1005,144 +1113,109 @@ impl<'p> ShardedServer<'p> {
     /// leaves this call's rotation, and the first error (by shard
     /// index) is returned after the healthy remainder drains.
     ///
-    /// When a whole round runs zero supersteps and moves nothing, every
-    /// runnable shard is deadline-blocked: the fleet clock advances to
-    /// the earliest pending deadline (mirroring the single-server
-    /// fast-forward). If no shard names a deadline either, the fleet is
-    /// wedged (e.g. only errored shards still hold work) and the drive
-    /// stops — the recorded per-shard errors say why.
+    /// Unless `rounds` is [`Rounds::Single`], when a whole round runs
+    /// zero supersteps and moves nothing, every runnable shard is
+    /// deadline-blocked: the fleet clock advances to the earliest
+    /// pending deadline (mirroring the single-server fast-forward). If
+    /// no shard names a deadline either, the fleet is wedged (e.g. only
+    /// errored shards still hold work) and the drive stops — the
+    /// recorded per-shard errors say why.
     fn run_rounds(
         &mut self,
         quantum: u64,
         rebalance_cfg: Option<AffinityConfig>,
-        fault_once: bool,
+        rounds: Rounds,
         poll: &mut dyn FnMut() -> Vec<u64>,
     ) -> Result<Vec<Response>> {
         let quantum = quantum.max(1);
         let cap = self.policy.max_batch().max(1);
+        let nshards = self.shards.len();
         let mut first_error: Option<ServeError> = None;
         // Shards that errored during *this* call: out of the rotation
         // until the caller triages (respawn/reject), like the one-burst
         // driver's post-error behavior.
-        let mut dead = vec![false; self.shards.len()];
-        // `fault_once` gives burst-equivalent chaos: one counter per
-        // (call, shard), checked on the shard's first round only, so a
-        // deterministic plan sees the same per-attempt fault frequency
-        // as the one-burst driver no matter how many quanta the drive
-        // takes. Without it (PC-affinity) every round draws its own
-        // counter, which the plan accounts for.
+        let mut dead = vec![false; nshards];
         let call_round = self.fault_round;
-        if fault_once {
+        if rounds == Rounds::FirstRound {
             self.fault_round += 1;
         }
-        let mut fresh = vec![true; self.shards.len()];
+        let mut fresh = vec![true; nshards];
         loop {
             for id in poll() {
                 self.cancel(id);
             }
-            let round = if fault_once {
-                call_round
-            } else {
-                let r = self.fault_round;
-                self.fault_round += 1;
-                r
+            // Who takes a turn this round, and whether it draws worker
+            // faults (see `Rounds`).
+            let mut turn: Vec<Option<bool>> = vec![None; nshards];
+            for (i, s) in self.shards.iter_mut().enumerate() {
+                if dead[i] || s.poisoned() {
+                    continue;
+                }
+                turn[i] = match rounds {
+                    Rounds::EveryRound => Some(true),
+                    Rounds::FirstRound => Some(std::mem::take(&mut fresh[i])),
+                    Rounds::Single if s.server.pending() + s.server.in_flight() == 0 => None,
+                    Rounds::Single => Some(!std::mem::replace(&mut s.busy, true)),
+                };
+            }
+            let round = match rounds {
+                Rounds::FirstRound => call_round,
+                // A single round takes a counter only when a shard starts
+                // a busy period, so the fault schedule follows attempts,
+                // not how many rounds real time happened to need.
+                Rounds::Single if !turn.contains(&Some(true)) => call_round,
+                _ => {
+                    let r = self.fault_round;
+                    self.fault_round += 1;
+                    r
+                }
             };
-            let nshards = self.shards.len() as u64;
-            let fault = self.opts.fault;
-            let results: Vec<RoundOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&dead)
-                    .zip(fresh.iter_mut())
-                    .enumerate()
-                    .map(|(i, ((shard, &is_dead), fresh_i))| {
-                        scope.spawn(move || {
-                            if is_dead || shard.server.poisoned().is_some() {
-                                return None;
-                            }
-                            let inject = !fault_once || std::mem::take(fresh_i);
-                            let counter = round * nshards + i as u64;
-                            if inject && fault.fires(FaultPoint::WorkerSlow, counter) {
-                                std::thread::sleep(std::time::Duration::from_micros(
-                                    fault.delay_micros(counter),
-                                ));
-                            }
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                if inject && fault.fires(FaultPoint::WorkerPanic, counter) {
-                                    panic!(
-                                        "injected fault at {} (counter {counter})",
-                                        FaultPoint::WorkerPanic.name()
-                                    );
-                                }
-                                shard.server.run_for(quantum, Some(&mut shard.trace))
-                            }));
-                            Some(match run {
-                                Ok(outcome) => outcome,
-                                Err(payload) => {
-                                    let e = ServeError::Panicked {
-                                        what: panic_message(payload),
-                                    };
-                                    shard.server.poison(e.clone());
-                                    Err(e)
-                                }
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|payload| {
-                            Some(Err(ServeError::Panicked {
-                                what: panic_message(payload),
-                            }))
-                        })
-                    })
-                    .collect()
+            let jobs: Vec<Job<'_, 'p>> = self
+                .shards
+                .iter_mut()
+                .zip(&turn)
+                .enumerate()
+                .filter_map(|(i, (s, t))| {
+                    t.map(|draw| (i, s, draw.then_some(round * nshards as u64 + i as u64)))
+                })
+                .collect();
+            let turns = run_jobs(jobs, self.opts.fault, &|s: &mut Shard<'p>| {
+                s.server.run_for(quantum, Some(&mut s.trace))
             });
             let mut steps_total = 0u64;
-            for (i, outcome) in results.into_iter().enumerate() {
-                match outcome {
-                    None => {}
-                    Some(Ok((responses, steps))) => {
-                        steps_total += steps;
-                        self.shards[i].last_error = None;
-                        for r in responses {
-                            let seq = Self::pop_seq(&mut self.order, r.id);
-                            self.ready.push((seq, r));
-                        }
-                    }
-                    Some(Err(e)) => {
-                        if matches!(e, ServeError::Panicked { .. })
-                            && self.shards[i].server.poisoned().is_none()
-                        {
-                            self.shards[i].server.poison(e.clone());
-                        }
-                        for r in self.shards[i].server.take_ready() {
-                            let seq = Self::pop_seq(&mut self.order, r.id);
-                            self.ready.push((seq, r));
-                        }
-                        self.shards[i].last_error = Some(e.clone());
-                        self.shards[i].fault_record = Some(e.clone());
-                        dead[i] = true;
-                        first_error.get_or_insert(e);
-                    }
+            for (i, turn) in turns {
+                let turn = turn.map(|(responses, steps)| {
+                    steps_total += steps;
+                    responses
+                });
+                if let Some(e) = self.absorb(i, turn) {
+                    dead[i] = true;
+                    first_error.get_or_insert(e);
                 }
             }
-            let active: Vec<usize> = (0..self.shards.len())
+            let active: Vec<usize> = (0..nshards)
                 .filter(|&i| !dead[i] && !self.shards[i].poisoned())
                 .collect();
             let work_left = active.iter().any(|&i| {
                 self.shards[i].server.pending() > 0 || self.shards[i].server.in_flight() > 0
             });
+            let moved = match &rebalance_cfg {
+                Some(cfg) if work_left => self.rebalance(cap, cfg, &dead),
+                _ => 0,
+            };
+            if rounds == Rounds::Single {
+                // A shard left with no work ends its busy period: the
+                // next work it picks up draws worker faults afresh.
+                for s in &mut self.shards {
+                    if s.server.pending() + s.server.in_flight() == 0 {
+                        s.busy = false;
+                    }
+                }
+                break;
+            }
             if !work_left {
                 break;
             }
-            let moved = match &rebalance_cfg {
-                Some(cfg) => self.rebalance(cap, cfg, &dead),
-                None => 0,
-            };
             if steps_total == 0 && moved == 0 {
                 let next = active
                     .iter()

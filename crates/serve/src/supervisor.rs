@@ -373,8 +373,9 @@ impl<'p> Supervisor<'p> {
     /// queued or in-flight request is cancelled through the fleet (its
     /// lane evicted at the next superstep boundary) and resolves to the
     /// same typed outcome on the next
-    /// [`Supervisor::run_until_quiescent`]. Returns `false` when the id
-    /// is unknown — already answered, or never submitted.
+    /// [`Supervisor::run_until_quiescent`] or [`Supervisor::run_round`].
+    /// Returns `false` when the id is unknown — already answered, or
+    /// never submitted.
     pub fn cancel(&mut self, id: u64) -> bool {
         if let Some(pos) = self.parked.iter().position(|(r, _)| r.id == id) {
             let (r, _) = self.parked.remove(pos);
@@ -480,11 +481,36 @@ impl<'p> Supervisor<'p> {
     /// cancellation hook: `poll` is drained between supervision rounds
     /// *and* between fleet scheduling rounds (see
     /// [`ShardedServer::run_until_idle_with`]), and every id it returns
-    /// is [cancelled](Supervisor::cancel) — the plumbing an ingress
-    /// front end uses to map client disconnects onto lane evictions
-    /// while a flush is still running.
+    /// is [cancelled](Supervisor::cancel), so a caller can map client
+    /// disconnects onto lane evictions while the drive is still
+    /// running.
     pub fn run_until_quiescent_with(&mut self, poll: &mut dyn FnMut() -> Vec<u64>) -> Vec<Outcome> {
         self.drive(Some(poll))
+    }
+
+    /// Drive the fleet for **one** round ([`ShardedServer::run_round`]),
+    /// supervising it exactly as [`Supervisor::run_until_quiescent`]
+    /// supervises each of its rounds: triage, heal, retry release and
+    /// governance verdicts run before the round and again after it, so
+    /// every outcome the round produced — completions, evictions,
+    /// cancellations, exhausted retries — is returned by this call.
+    ///
+    /// This is the entry point of a continuous event loop: submit
+    /// arrivals and [cancel](Supervisor::cancel) between calls, advance
+    /// the clock with [`Supervisor::set_clock`] before each, and answer
+    /// each outcome as soon as it is returned. The round never advances
+    /// the clock; with no lane in flight
+    /// ([`ShardedServer::in_flight`]) nothing changes until the next
+    /// submission or [`ShardedServer::next_deadline`].
+    pub fn run_round(&mut self) -> Vec<Outcome> {
+        let mut outcomes = Vec::new();
+        if !self.settle(&mut outcomes) {
+            self.round += 1;
+            let run = self.inner.run_round();
+            self.collect(run, &mut outcomes);
+            self.settle(&mut outcomes);
+        }
+        outcomes
     }
 
     fn drive(&mut self, mut poll: Option<&mut dyn FnMut() -> Vec<u64>>) -> Vec<Outcome> {
@@ -498,53 +524,7 @@ impl<'p> Supervisor<'p> {
                     self.cancel(id);
                 }
             }
-            self.triage();
-            self.heal();
-            // Salvaged completions from triage/heal (and any left over
-            // from an errored previous drive).
-            for r in self.inner.take_ready() {
-                self.tracked.remove(&r.id);
-                self.breaker.note_done(r.id);
-                outcomes.push(Outcome::Done(r));
-            }
-            // Governance verdicts are terminal, never retried: a budget
-            // blowup would blow the same budget again on re-execution
-            // (same program, same inputs, deterministic VM), and a
-            // cancelled request has nobody waiting for it. Blowups feed
-            // the quarantine breaker.
-            for (id, error) in self.inner.take_failed() {
-                self.resolve_failure(id, error);
-            }
-            // Release parked retries whose backoff expired; if the
-            // fleet is otherwise idle, fast-forward to the next release
-            // instead of spinning empty rounds.
-            if !self.parked.is_empty() && self.inner.pending() == 0 && self.inner.in_flight() == 0 {
-                let next = self
-                    .parked
-                    .iter()
-                    .map(|&(_, release)| release)
-                    .min()
-                    .expect("parked is non-empty");
-                self.round = self.round.max(next);
-            }
-            let round = self.round;
-            let due: Vec<Request> = {
-                let (due, rest): (Vec<_>, Vec<_>) = self
-                    .parked
-                    .drain(..)
-                    .partition(|&(_, release)| release <= round);
-                self.parked = rest;
-                due.into_iter().map(|(r, _)| r).collect()
-            };
-            for r in due {
-                // Re-entry may itself fail (injected admission fault):
-                // that burns another attempt like any failed try.
-                if let Err(e) = self.inner.resubmit(r.clone()) {
-                    self.requeue(r, e);
-                }
-            }
-            outcomes.append(&mut self.failed);
-            if self.inner.pending() == 0 && self.inner.in_flight() == 0 && self.parked.is_empty() {
+            if self.settle(&mut outcomes) {
                 return outcomes;
             }
             self.round += 1;
@@ -552,18 +532,79 @@ impl<'p> Supervisor<'p> {
                 Some(p) => self.inner.run_until_idle_with(*p),
                 None => self.inner.run_until_idle(),
             };
-            let completed = match run {
-                Ok(responses) => responses,
-                // The error is recorded per shard; triage/heal at the
-                // top of the next iteration act on it. Completed work
-                // is salvaged either way.
-                Err(_) => self.inner.take_ready(),
-            };
-            for r in completed {
-                self.tracked.remove(&r.id);
-                self.breaker.note_done(r.id);
-                outcomes.push(Outcome::Done(r));
+            self.collect(run, &mut outcomes);
+        }
+    }
+
+    /// The supervision pass between fleet rounds: triage and heal dead
+    /// shards, harvest salvaged completions and governance verdicts,
+    /// and release parked retries whose backoff expired. Appends every
+    /// terminal outcome reached to `outcomes` and returns whether the
+    /// supervisor is quiescent (nothing queued, in flight, or parked).
+    fn settle(&mut self, outcomes: &mut Vec<Outcome>) -> bool {
+        self.triage();
+        self.heal();
+        // Salvaged completions from triage/heal (and any left over from
+        // an errored previous drive).
+        let salvaged = self.inner.take_ready();
+        self.finish(salvaged, outcomes);
+        // Governance verdicts are terminal, never retried: a budget
+        // blowup would blow the same budget again on re-execution (same
+        // program, same inputs, deterministic VM), and a cancelled
+        // request has nobody waiting for it. Blowups feed the
+        // quarantine breaker.
+        for (id, error) in self.inner.take_failed() {
+            self.resolve_failure(id, error);
+        }
+        // Release parked retries whose backoff expired; if the fleet is
+        // otherwise idle, fast-forward to the next release instead of
+        // spinning empty rounds.
+        if !self.parked.is_empty() && self.inner.pending() == 0 && self.inner.in_flight() == 0 {
+            let next = self
+                .parked
+                .iter()
+                .map(|&(_, release)| release)
+                .min()
+                .expect("parked is non-empty");
+            self.round = self.round.max(next);
+        }
+        let round = self.round;
+        let due: Vec<Request> = {
+            let (due, rest): (Vec<_>, Vec<_>) = self
+                .parked
+                .drain(..)
+                .partition(|&(_, release)| release <= round);
+            self.parked = rest;
+            due.into_iter().map(|(r, _)| r).collect()
+        };
+        for r in due {
+            // Re-entry may itself fail (injected admission fault): that
+            // burns another attempt like any failed try.
+            if let Err(e) = self.inner.resubmit(r.clone()) {
+                self.requeue(r, e);
             }
+        }
+        outcomes.append(&mut self.failed);
+        self.inner.pending() == 0 && self.inner.in_flight() == 0 && self.parked.is_empty()
+    }
+
+    /// Fold a fleet run into `outcomes`. On error the failure is
+    /// recorded per shard — the next [`Supervisor::settle`] acts on it —
+    /// and completed work is salvaged either way.
+    fn collect(&mut self, run: Result<Vec<Response>>, outcomes: &mut Vec<Outcome>) {
+        let completed = match run {
+            Ok(responses) => responses,
+            Err(_) => self.inner.take_ready(),
+        };
+        self.finish(completed, outcomes);
+    }
+
+    /// Resolve completed requests to [`Outcome::Done`].
+    fn finish(&mut self, completed: Vec<Response>, outcomes: &mut Vec<Outcome>) {
+        for r in completed {
+            self.tracked.remove(&r.id);
+            self.breaker.note_done(r.id);
+            outcomes.push(Outcome::Done(r));
         }
     }
 

@@ -1,4 +1,4 @@
-//! The TCP front door: deadline-driven batch collection over a socket.
+//! The TCP front door: continuous deadline-driven batching over a socket.
 //!
 //! Starts an `IngressServer` on a loopback port, speaks the
 //! length-prefixed wire protocol to it with `IngressClient`, and walks
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Part 1: a pipelined burst fills batches ----------------------
     // 2 workers × batch 4: eight requests sent back to back fill the
-    // fleet, so the engine flushes on capacity, not on the deadline.
+    // fleet, so the shards admit on capacity, not on the deadline.
     let max_wait = Duration::from_millis(30);
     let handle = IngressServer::start(
         program.clone(),
@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Part 3: load shedding past the queue budget ------------------
     // One worker with a queue budget of 1 and a long deadline: the first
-    // arrival waits in the collection buffer, and everything behind it
+    // arrival waits in the shard's queue, and everything behind it
     // is shed immediately with a typed Overloaded reject frame — no
     // client waits out a deadline it was always going to miss.
     let handle = IngressServer::start(

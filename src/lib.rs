@@ -26,8 +26,8 @@
 //!   incoming work into an in-flight batched execution, plus the
 //!   self-healing [`serve::Supervisor`];
 //! - [`ingress`] — a dependency-free TCP front door: length-prefixed
-//!   wire frames, deadline-driven batch collection, and load shedding
-//!   over the sharded server.
+//!   wire frames, continuous deadline-driven batching, and load
+//!   shedding over the sharded server.
 //!
 //! # Quickstart
 //!
