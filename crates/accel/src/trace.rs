@@ -6,16 +6,21 @@
 //! statistics. Figure 5 reads `gradients / sim_time`; Figure 6 reads the
 //! active-lane utilization of the gradient kernel.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::backend::Backend;
 
 /// One kernel launch reported by a runtime.
+///
+/// The record borrows its kernel tag, so a runtime can report a launch
+/// without allocating: [`Trace`] copies the tag only the first time it
+/// sees it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LaunchRecord {
-    /// Kernel tag, e.g. `"add"`, `"grad"`, `"block:7"`, `"stack_push"`.
-    pub kernel: String,
+pub struct LaunchRecord<'a> {
+    /// Kernel tag, e.g. `"add"`, `"grad"`, `"block:7"`, `"stack"`.
+    pub kernel: Cow<'a, str>,
     /// Total useful floating-point work in the launch (all lanes).
     pub flops: f64,
     /// Sequential memory traffic in bytes.
@@ -31,9 +36,9 @@ pub struct LaunchRecord {
     pub total_members: usize,
 }
 
-impl LaunchRecord {
+impl<'a> LaunchRecord<'a> {
     /// Convenience constructor for a compute-only launch.
-    pub fn compute(kernel: impl Into<String>, flops: f64, parallel: usize) -> LaunchRecord {
+    pub fn compute(kernel: impl Into<Cow<'a, str>>, flops: f64, parallel: usize) -> Self {
         LaunchRecord {
             kernel: kernel.into(),
             flops,
@@ -42,6 +47,20 @@ impl LaunchRecord {
             parallel,
             active_members: parallel,
             total_members: parallel,
+        }
+    }
+
+    /// A copy that owns its tag, for event logs that outlive the
+    /// runtime's borrow.
+    fn to_owned_record(&self) -> LaunchRecord<'static> {
+        LaunchRecord {
+            kernel: Cow::Owned(self.kernel.as_ref().to_owned()),
+            flops: self.flops,
+            bytes: self.bytes,
+            random_bytes: self.random_bytes,
+            parallel: self.parallel,
+            active_members: self.active_members,
+            total_members: self.total_members,
         }
     }
 }
@@ -76,8 +95,8 @@ impl KernelStats {
 /// One recorded event, for post-hoc re-pricing.
 #[derive(Debug, Clone)]
 enum Event {
-    Launch(LaunchRecord),
-    Logical(LaunchRecord),
+    Launch(LaunchRecord<'static>),
+    Logical(LaunchRecord<'static>),
     Superstep,
     /// Batch membership change: `joined` members admitted / `left`
     /// members retired, leaving `total_after` live members.
@@ -196,8 +215,9 @@ impl Trace {
     }
 
     /// Price one kernel launch and accumulate it. Returns the launch's
-    /// simulated duration in seconds.
-    pub fn launch(&mut self, rec: &LaunchRecord) -> f64 {
+    /// simulated duration in seconds. Allocates only on the kernel's
+    /// first launch (its stats key), unless the trace is recording.
+    pub fn launch(&mut self, rec: &LaunchRecord<'_>) -> f64 {
         let b = &self.backend;
         let compute = if b.scalar_compute {
             b.device.scalar_time(rec.flops)
@@ -209,16 +229,17 @@ impl Trace {
         // Compute and memory overlap on real hardware; dispatch does not.
         let t = b.launch_overhead + compute.max(mem);
         if let Some(ev) = self.events.as_mut() {
-            ev.push(Event::Launch(rec.clone()));
+            ev.push(Event::Launch(rec.to_owned_record()));
         }
         self.sim_time += t;
         self.launches += 1;
-        let s = self.per_kernel.entry(rec.kernel.clone()).or_default();
-        s.launches += 1;
-        s.flops += rec.flops;
-        s.time += t;
-        s.active_members += rec.active_members as u64;
-        s.total_members += rec.total_members as u64;
+        accumulate(&mut self.per_kernel, &rec.kernel, |s| {
+            s.launches += 1;
+            s.flops += rec.flops;
+            s.time += t;
+            s.active_members += rec.active_members as u64;
+            s.total_members += rec.total_members as u64;
+        });
         t
     }
 
@@ -227,16 +248,18 @@ impl Trace {
     /// Runtimes report every primitive here regardless of kernel fusion,
     /// so utilization questions ("what fraction of gradient lanes were
     /// useful?", the paper's Figure 6) can be answered even when the
-    /// timed launches are whole fused blocks.
-    pub fn record_logical(&mut self, rec: &LaunchRecord) {
+    /// timed launches are whole fused blocks. Allocates like
+    /// [`Trace::launch`].
+    pub fn record_logical(&mut self, rec: &LaunchRecord<'_>) {
         if let Some(ev) = self.events.as_mut() {
-            ev.push(Event::Logical(rec.clone()));
+            ev.push(Event::Logical(rec.to_owned_record()));
         }
-        let s = self.logical.entry(rec.kernel.clone()).or_default();
-        s.launches += 1;
-        s.flops += rec.flops;
-        s.active_members += rec.active_members as u64;
-        s.total_members += rec.total_members as u64;
+        accumulate(&mut self.logical, &rec.kernel, |s| {
+            s.launches += 1;
+            s.flops += rec.flops;
+            s.active_members += rec.active_members as u64;
+            s.total_members += rec.total_members as u64;
+        });
     }
 
     /// Record a batch-membership change: `joined` members admitted and
@@ -360,19 +383,21 @@ impl Trace {
         self.members_migrated_out += other.members_migrated_out;
         self.peak_members += other.peak_members;
         for (k, s) in &other.per_kernel {
-            let dst = self.per_kernel.entry(k.clone()).or_default();
-            dst.launches += s.launches;
-            dst.flops += s.flops;
-            dst.time += s.time;
-            dst.active_members += s.active_members;
-            dst.total_members += s.total_members;
+            accumulate(&mut self.per_kernel, k, |dst| {
+                dst.launches += s.launches;
+                dst.flops += s.flops;
+                dst.time += s.time;
+                dst.active_members += s.active_members;
+                dst.total_members += s.total_members;
+            });
         }
         for (k, s) in &other.logical {
-            let dst = self.logical.entry(k.clone()).or_default();
-            dst.launches += s.launches;
-            dst.flops += s.flops;
-            dst.active_members += s.active_members;
-            dst.total_members += s.total_members;
+            accumulate(&mut self.logical, k, |dst| {
+                dst.launches += s.launches;
+                dst.flops += s.flops;
+                dst.active_members += s.active_members;
+                dst.total_members += s.total_members;
+            });
         }
         self.events = None;
     }
@@ -421,6 +446,11 @@ impl Trace {
         self.logical.get(kernel)
     }
 
+    /// Iterate over all logical statistics, ordered by tag.
+    pub fn logical_kernels(&self) -> impl Iterator<Item = (&str, &KernelStats)> {
+        self.logical.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
     /// Sum of `active_members` over logical records of `kernel` — e.g.
     /// the number of *useful* gradient evaluations when
     /// `kernel == "grad"`. Falls back to timed launches if the kernel was
@@ -461,6 +491,19 @@ impl Trace {
         if let Some(ev) = self.events.as_mut() {
             ev.clear();
         }
+    }
+}
+
+/// Apply `add` to the statistics under `kernel`. The lookup borrows the
+/// tag, so only a kernel's first launch allocates its key.
+fn accumulate(
+    map: &mut BTreeMap<String, KernelStats>,
+    kernel: &str,
+    add: impl FnOnce(&mut KernelStats),
+) {
+    match map.get_mut(kernel) {
+        Some(s) => add(s),
+        None => add(map.entry(kernel.to_owned()).or_default()),
     }
 }
 

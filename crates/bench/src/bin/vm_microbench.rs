@@ -8,10 +8,14 @@
 //! they are bit-reproducible across machines and safe to gate exactly;
 //! wall-clock is gated with a wide tolerance (see `gate::METRICS`).
 //!
-//! Each workload runs twice: once with the fused elementwise fast path
-//! (the default) and once with fusion disabled, so the JSON rows record
-//! both the host-time win and the launch-count reduction the fusion
-//! contributes under eager dispatch.
+//! Each workload runs three times: with the fused elementwise fast path
+//! (the default), with fusion disabled, and fused while pricing every
+//! superstep into a [`Trace`] on `Backend::hybrid_cpu()`, as an ingress
+//! shard runs. The first two rows record both the host-time win and the
+//! launch-count reduction the fusion contributes under eager dispatch.
+//! The traced row starts from an empty trace each rep, so it may exceed
+//! the fused row only by the allocations of each kernel's first launch
+//! (its stats key); the bench asserts that bound.
 //!
 //! Usage: `vm_microbench [--smoke]`. Writes
 //! `results/BENCH_vm_microbench.json` for the CI perf-regression gate.
@@ -59,16 +63,23 @@ struct Measured {
     supersteps: u64,
     ns_per_superstep: f64,
     allocs_per_superstep: f64,
+    /// Allocations of one timed rep, in total.
+    allocs: u64,
+    /// Distinct kernel keys (timed and logical) the traced reps' trace
+    /// held; zero untraced.
+    trace_keys: u64,
     /// Timed kernel launches under eager dispatch (fusion-sensitive).
     eager_launches: u64,
 }
 
 /// Drive every request through one `PcMachine` to completion and time
-/// the whole serve loop (admission, supersteps, retirement).
+/// the whole serve loop (admission, supersteps, retirement), pricing
+/// it into a fresh trace on `traced` when given.
 fn run_machine(
     program: &Program,
     registry: &KernelRegistry,
     opts: ExecOptions,
+    traced: Option<Backend>,
     requests: &[(Vec<Tensor>, u64)],
     reps: usize,
 ) -> Measured {
@@ -82,19 +93,22 @@ fn run_machine(
     // microbench statistic (scheduling hiccups only ever add time).
     // Allocation counts are identical across reps by construction.
     let mut best_ns_per_step = f64::INFINITY;
-    let mut allocs_per_step = 0.0f64;
+    let mut allocs = 0;
+    let mut trace_keys = 0;
     for _ in 0..reps {
         let mut m = PcMachine::new(program, registry.clone(), opts);
         admit_all(&mut m, requests);
+        let mut trace = traced.map(Trace::new);
         ALLOCATIONS.store(0, Ordering::Relaxed);
         let t0 = Instant::now();
-        let done = m.run_to_completion(None).expect("runs");
+        let done = m.run_to_completion(trace.as_mut()).expect("runs");
         let dt = t0.elapsed();
-        let allocs = ALLOCATIONS.load(Ordering::Relaxed);
+        allocs = ALLOCATIONS.load(Ordering::Relaxed);
         assert_eq!(done.len(), requests.len());
-        let steps = m.supersteps() as f64;
-        best_ns_per_step = best_ns_per_step.min(dt.as_nanos() as f64 / steps);
-        allocs_per_step = allocs as f64 / steps;
+        best_ns_per_step = best_ns_per_step.min(dt.as_nanos() as f64 / m.supersteps() as f64);
+        trace_keys = trace.map_or(0, |t| {
+            (t.kernels().count() + t.logical_kernels().count()) as u64
+        });
     }
 
     // Launch accounting under eager dispatch (every primitive its own
@@ -107,7 +121,9 @@ fn run_machine(
     Measured {
         supersteps: supersteps_once,
         ns_per_superstep: best_ns_per_step,
-        allocs_per_superstep: allocs_per_step,
+        allocs_per_superstep: allocs as f64 / supersteps_once as f64,
+        allocs,
+        trace_keys,
         eager_launches: tr.launches(),
     }
 }
@@ -190,7 +206,6 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let mut json = Vec::new();
-    let mut launches_by_mode: Vec<(String, &'static str, u64)> = Vec::new();
 
     for (workload, program, registry, base_opts, requests) in [
         (
@@ -208,13 +223,17 @@ fn main() {
             funnel_requests(&nuts, n_requests),
         ),
     ] {
-        for (mode, fuse) in [("fused", true), ("unfused", false)] {
+        let mut by_mode = Vec::new();
+        for (mode, fuse, traced) in [
+            ("fused", true, None),
+            ("unfused", false, None),
+            ("traced", true, Some(Backend::hybrid_cpu())),
+        ] {
             let opts = ExecOptions {
                 fuse_elementwise: fuse,
                 ..base_opts
             };
-            let m = run_machine(program, &registry, opts, &requests, reps);
-            launches_by_mode.push((workload.to_string(), mode, m.eager_launches));
+            let m = run_machine(program, &registry, opts, traced, &requests, reps);
             rows.push(vec![
                 workload.to_string(),
                 mode.to_string(),
@@ -240,19 +259,35 @@ fn main() {
                 ),
                 ("eager_launches", m.eager_launches.to_string()),
             ]);
+            by_mode.push(m);
         }
-    }
-
-    // The fused fast path must strictly reduce eager launch counts on
-    // both workloads — the cost-model half of the acceptance criterion.
-    for pair in launches_by_mode.chunks(2) {
-        let [(workload, _, fused), (_, _, unfused)] = pair else {
-            unreachable!("modes come in pairs");
+        let [fused, unfused, traced] = &by_mode[..] else {
+            unreachable!("three modes per workload");
         };
-        println!("{workload}: eager launches fused {fused} vs unfused {unfused}");
+
+        // The fused fast path must strictly reduce eager launch counts
+        // on both workloads — the cost-model half of the acceptance
+        // criterion.
+        let (f, u) = (fused.eager_launches, unfused.eager_launches);
+        println!("{workload}: eager launches fused {f} vs unfused {u}");
         assert!(
-            fused < unfused,
-            "{workload}: fusion did not reduce launches ({fused} vs {unfused})"
+            f < u,
+            "{workload}: fusion did not reduce launches ({f} vs {u})"
+        );
+
+        // Tracing allocates only each kernel's stats key (the key string
+        // plus at most one map node) on its first launch.
+        let extra = traced.allocs.saturating_sub(fused.allocs);
+        println!(
+            "{workload}: tracing added {extra} allocations for {} kernel keys",
+            traced.trace_keys
+        );
+        assert!(
+            traced.allocs >= fused.allocs && extra <= 2 * traced.trace_keys,
+            "{workload}: tracing allocated {} vs {} untraced, beyond {} first-launch keys",
+            traced.allocs,
+            fused.allocs,
+            traced.trace_keys
         );
     }
 

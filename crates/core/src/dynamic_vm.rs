@@ -39,6 +39,7 @@
 //! program-counter autobatching, this runtime is unusable under a
 //! graph-compiled/XLA execution model.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use autobatch_accel::{LaunchRecord, Trace};
@@ -425,7 +426,7 @@ impl<'p> DynamicVm<'p> {
         if let Some(t) = trace {
             let cost = prim_cost(&prim, &stacked, &results, &self.registry);
             let rec = LaunchRecord {
-                kernel: prim.kernel_tag(),
+                kernel: Cow::Borrowed(prim.kernel_tag()),
                 flops: cost.flops,
                 bytes: cost.bytes,
                 random_bytes: 0.0,
@@ -447,7 +448,7 @@ impl<'p> DynamicVm<'p> {
             }
             frame.op += 1;
         }
-        Ok(prim.kernel_tag())
+        Ok(prim.kernel_tag().to_owned())
     }
 }
 

@@ -25,16 +25,22 @@
 //!
 //! # Performance architecture
 //!
-//! The program-counter interpreter's superstep loop is allocation-free
-//! in the steady state: each machine owns a scratch arena (active
-//! mask, active-index list, member keys, pop depths, block-local
-//! temporaries) that is cleared per superstep, never reallocated, and
-//! tensors are copy-on-write so state reads and observer snapshots
-//! share buffers instead of deep-copying. On top of that, each basic
-//! block is planned once into **fused elementwise regions** —
-//! straight-line runs of elementwise primitives executed as a single
-//! loop with per-element virtual registers and priced as a single
-//! launch ([`ExecOptions::fuse_elementwise`]; the fused loop applies
+//! The program-counter interpreter's superstep bookkeeping is
+//! allocation-free in the steady state: each machine owns a scratch
+//! arena (active mask, active-index list, member keys, pop depths,
+//! block-local temporaries) that is cleared per superstep, never
+//! reallocated, and tensors are copy-on-write so state reads and
+//! observer snapshots share buffers instead of deep-copying. The
+//! superstep as a whole, kernel results included, still makes 11.6
+//! allocations on divergent binomial recursion and 32.6 on funnel
+//! NUTS (batch 12, `vm_microbench --smoke`). Tracing adds none once
+//! a kernel has launched: launch records borrow their tags, and a
+//! [`Trace`](autobatch_accel::Trace) copies a tag only on its first
+//! launch. On top of that, each basic block is planned once into
+//! **fused elementwise regions** — straight-line runs of elementwise
+//! primitives executed as a single loop with per-element virtual
+//! registers and priced as a single launch
+//! ([`ExecOptions::fuse_elementwise`]; the fused loop applies
 //! the exact scalar functions of the allocating kernels, so results
 //! are bit-identical, and any runtime shape/dtype surprise falls back
 //! to per-op execution). See the repository README's "Performance

@@ -10,6 +10,7 @@
 //! different host stack depths can never batch together, and the runtime
 //! itself is recursive.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use autobatch_accel::{LaunchRecord, Trace};
@@ -62,6 +63,10 @@ pub struct LocalStaticVm<'p> {
     program: &'p Program,
     registry: KernelRegistry,
     opts: ExecOptions,
+    /// Per-function, per-block `block:{name}:{i}` launch tags,
+    /// formatted once at construction so a traced superstep borrows
+    /// its tag.
+    block_tags: Vec<Vec<String>>,
 }
 
 struct Ctx<'a, 'o> {
@@ -75,10 +80,20 @@ struct Ctx<'a, 'o> {
 impl<'p> LocalStaticVm<'p> {
     /// Create a VM for `program` with the given kernels and options.
     pub fn new(program: &'p Program, registry: KernelRegistry, opts: ExecOptions) -> Self {
+        let block_tags = program
+            .funcs
+            .iter()
+            .map(|f| {
+                (0..f.blocks.len())
+                    .map(|i| format!("block:{}:{i}", f.name))
+                    .collect()
+            })
+            .collect();
         LocalStaticVm {
             program,
             registry,
             opts,
+            block_tags,
         }
     }
 
@@ -149,6 +164,7 @@ impl<'p> LocalStaticVm<'p> {
             });
         }
         let f = self.program.func(fid)?;
+        let tags = &self.block_tags[fid.0];
         let z = active.len();
         let n_blocks = f.blocks.len();
         let mut env: BTreeMap<Var, Tensor> = BTreeMap::new();
@@ -201,7 +217,7 @@ impl<'p> LocalStaticVm<'p> {
                         // Flush the fused-block launch before handing
                         // control back to the host for the call.
                         if fused && block_cost.parallel > 0 {
-                            flush_block_launch(ctx, f, i, &block_cost, &local_idx, z);
+                            flush_block_launch(ctx, &tags[i], &block_cost, &local_idx, z);
                             block_cost = OpCost::default();
                         }
                         let args: Vec<Tensor> = ins
@@ -216,7 +232,7 @@ impl<'p> LocalStaticVm<'p> {
                 }
             }
             if fused && block_cost.parallel > 0 {
-                flush_block_launch(ctx, f, i, &block_cost, &local_idx, z);
+                flush_block_launch(ctx, &tags[i], &block_cost, &local_idx, z);
             }
             // Terminator: update the locally active members' pcs.
             match &block.term {
@@ -302,8 +318,8 @@ impl<'p> LocalStaticVm<'p> {
         };
         // Fusion-independent logical record (drives utilization metrics).
         if let Some(t) = ctx.trace.as_deref_mut() {
-            t.record_logical(&LaunchRecord {
-                kernel: prim.kernel_tag(),
+            let rec = LaunchRecord {
+                kernel: Cow::Borrowed(prim.kernel_tag()),
                 flops: cost.flops,
                 bytes: cost.bytes,
                 random_bytes,
@@ -314,21 +330,10 @@ impl<'p> LocalStaticVm<'p> {
                 } else {
                     n_active
                 },
-            });
+            };
+            t.record_logical(&rec);
             if matches!(t.backend().mode, autobatch_accel::DispatchMode::Eager) {
-                t.launch(&LaunchRecord {
-                    kernel: prim.kernel_tag(),
-                    flops: cost.flops,
-                    bytes: cost.bytes,
-                    random_bytes,
-                    parallel: cost.parallel,
-                    active_members: n_active,
-                    total_members: if self.opts.strategy == ExecStrategy::Masking {
-                        z
-                    } else {
-                        n_active
-                    },
-                });
+                t.launch(&rec);
             }
         }
         // Write back.
@@ -350,15 +355,14 @@ impl<'p> LocalStaticVm<'p> {
 
 fn flush_block_launch(
     ctx: &mut Ctx<'_, '_>,
-    f: &autobatch_ir::lsab::Function,
-    block: usize,
+    tag: &str,
     cost: &OpCost,
     local_idx: &[usize],
     z: usize,
 ) {
     if let Some(t) = ctx.trace.as_deref_mut() {
         t.launch(&LaunchRecord {
-            kernel: format!("block:{}:{block}", f.name),
+            kernel: Cow::Borrowed(tag),
             flops: cost.flops,
             bytes: cost.bytes,
             random_bytes: 0.0,

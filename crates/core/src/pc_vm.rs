@@ -10,6 +10,7 @@
 //! logical threads at *different stack depths* batch together whenever
 //! their pc tops coincide.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use autobatch_accel::{DispatchMode, LaunchRecord, Trace};
@@ -103,6 +104,9 @@ pub struct PcVm<'p> {
     /// Per-block fused elementwise regions (see [`crate::fusion`]),
     /// planned once at construction.
     plans: Vec<Vec<FusedRegion>>,
+    /// Per-block `block:{i}` launch tags, formatted once at
+    /// construction so a traced superstep borrows its tag.
+    block_tags: Vec<String>,
     /// Variable → storage slot, resolved once at construction so the
     /// superstep loop indexes dense vectors instead of walking
     /// string-keyed maps per operand.
@@ -146,8 +150,12 @@ impl Temps {
 
 /// Reused per-superstep buffers: the VM's scratch arena. Everything
 /// here is logically dead between supersteps; keeping the allocations
-/// alive makes the steady-state superstep loop allocation-free for all
-/// bookkeeping (masks, index lists, stack depths, fused-loop registers).
+/// alive makes the steady-state bookkeeping (masks, index lists, stack
+/// depths, fused-loop registers) allocation-free. The superstep as a
+/// whole, kernel results included, still makes 11.6 allocations on
+/// divergent binomial recursion and 32.6 on funnel NUTS (batch 12,
+/// `vm_microbench --smoke`), traced or not once the trace has seen
+/// each kernel.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Active mask of the current superstep.
@@ -231,6 +239,9 @@ impl<'p> PcVm<'p> {
             registry,
             opts,
             plans: fusion::plan_program(program),
+            block_tags: (0..program.blocks.len())
+                .map(|i| format!("block:{i}"))
+                .collect(),
             slot_of,
             stacked_vars,
         }
@@ -512,7 +523,7 @@ impl<'p> PcVm<'p> {
         if fused {
             if let Some(t) = trace.as_deref_mut() {
                 t.launch(&LaunchRecord {
-                    kernel: format!("block:{i}"),
+                    kernel: Cow::Borrowed(&self.block_tags[i]),
                     flops: block_cost.flops,
                     bytes: block_cost.bytes,
                     random_bytes: block_random_bytes,
@@ -683,7 +694,7 @@ impl<'p> PcVm<'p> {
             let moved = if gather { op_bytes } else { 0.0 };
             if let Some(t) = trace.as_deref_mut() {
                 t.record_logical(&LaunchRecord {
-                    kernel: op.prim.kernel_tag(),
+                    kernel: Cow::Borrowed(op.prim.kernel_tag()),
                     flops,
                     bytes: op_bytes,
                     random_bytes: moved,
@@ -712,7 +723,7 @@ impl<'p> PcVm<'p> {
         if !fused {
             if let Some(t) = trace.as_deref_mut() {
                 t.launch(&LaunchRecord {
-                    kernel: region.kernel_tag.clone(),
+                    kernel: Cow::Borrowed(&region.kernel_tag),
                     flops: flops_total,
                     bytes: fused_bytes,
                     random_bytes: fused_moved,
@@ -825,25 +836,18 @@ impl<'p> PcVm<'p> {
             } else {
                 n_active
             };
-            t.record_logical(&LaunchRecord {
-                kernel: prim.kernel_tag(),
+            let rec = LaunchRecord {
+                kernel: Cow::Borrowed(prim.kernel_tag()),
                 flops: cost.flops,
                 bytes: cost.bytes,
                 random_bytes: extra_random,
                 parallel: cost.parallel,
                 active_members: n_active,
                 total_members: total,
-            });
+            };
+            t.record_logical(&rec);
             if !fused {
-                t.launch(&LaunchRecord {
-                    kernel: prim.kernel_tag(),
-                    flops: cost.flops,
-                    bytes: cost.bytes,
-                    random_bytes: extra_random,
-                    parallel: cost.parallel,
-                    active_members: n_active,
-                    total_members: total,
-                });
+                t.launch(&rec);
             }
         }
         // Write back (in gather mode, compacted rows expand first).
@@ -2121,7 +2125,7 @@ fn record_stack_launch(
 ) {
     if let Some(t) = trace.as_deref_mut() {
         t.launch(&LaunchRecord {
-            kernel: "stack".into(),
+            kernel: Cow::Borrowed("stack"),
             flops: 0.0,
             bytes: seq,
             random_bytes: rand,

@@ -169,14 +169,58 @@ impl Prim {
         Some(Arity { ins: i, outs: o })
     }
 
-    /// A short kernel tag for tracing (externals use their registry name,
-    /// so e.g. gradient utilization can be measured under `"grad"`).
-    pub fn kernel_tag(&self) -> String {
+    /// A short kernel tag for tracing: the lowercased variant name,
+    /// `"const"` for every constant, `"fill"` for [`Prim::FillLike`],
+    /// and the registry name for externals (so e.g. gradient
+    /// utilization can be measured under `"grad"`). Borrowed, so
+    /// tracing a launch allocates nothing.
+    pub fn kernel_tag(&self) -> &str {
+        use Prim::*;
         match self {
-            Prim::External(name) => name.to_string(),
-            Prim::ConstF64(_) | Prim::ConstI64(_) | Prim::ConstBool(_) => "const".to_string(),
-            Prim::FillLike(_) => "fill".to_string(),
-            other => format!("{other}").to_ascii_lowercase(),
+            External(name) => name,
+            ConstF64(_) | ConstI64(_) | ConstBool(_) => "const",
+            FillLike(_) => "fill",
+            Id => "id",
+            Neg => "neg",
+            Abs => "abs",
+            Exp => "exp",
+            Ln => "ln",
+            Sqrt => "sqrt",
+            Square => "square",
+            Sigmoid => "sigmoid",
+            Softplus => "softplus",
+            Floor => "floor",
+            Sin => "sin",
+            Cos => "cos",
+            Tanh => "tanh",
+            NegI => "negi",
+            Not => "not",
+            Add => "add",
+            Sub => "sub",
+            Mul => "mul",
+            Div => "div",
+            Pow => "pow",
+            Min2 => "min2",
+            Max2 => "max2",
+            Lt => "lt",
+            Le => "le",
+            Gt => "gt",
+            Ge => "ge",
+            EqE => "eqe",
+            NeE => "nee",
+            And => "and",
+            Or => "or",
+            Xor => "xor",
+            Select => "select",
+            ToF64 => "tof64",
+            ToI64 => "toi64",
+            ToBool => "tobool",
+            SumElems => "sumelems",
+            Dot => "dot",
+            RandUniform => "randuniform",
+            RandNormal => "randnormal",
+            RandExponential => "randexponential",
+            RandNormalLike => "randnormallike",
         }
     }
 
@@ -265,10 +309,7 @@ impl fmt::Display for Prim {
             Prim::ConstBool(c) => write!(f, "const({c})"),
             Prim::FillLike(c) => write!(f, "fill_like({c})"),
             Prim::External(name) => write!(f, "ext:{name}"),
-            other => {
-                let s = format!("{other:?}");
-                write!(f, "{}", s.to_ascii_lowercase())
-            }
+            other => f.write_str(other.kernel_tag()),
         }
     }
 }
@@ -293,6 +334,134 @@ mod tests {
         assert_eq!(Prim::external("grad").to_string(), "ext:grad");
         assert_eq!(Prim::external("grad").kernel_tag(), "grad");
         assert_eq!(Prim::ConstI64(1).kernel_tag(), "const");
+    }
+
+    /// One of every variant. [`ordinal`] has no wildcard arm, so a new
+    /// variant fails to compile until it is listed here too.
+    fn every_prim() -> Vec<Prim> {
+        use Prim::*;
+        vec![
+            ConstF64(2.5),
+            ConstI64(-3),
+            ConstBool(true),
+            FillLike(0.5),
+            Id,
+            Neg,
+            Abs,
+            Exp,
+            Ln,
+            Sqrt,
+            Square,
+            Sigmoid,
+            Softplus,
+            Floor,
+            Sin,
+            Cos,
+            Tanh,
+            NegI,
+            Not,
+            Add,
+            Sub,
+            Mul,
+            Div,
+            Pow,
+            Min2,
+            Max2,
+            Lt,
+            Le,
+            Gt,
+            Ge,
+            EqE,
+            NeE,
+            And,
+            Or,
+            Xor,
+            Select,
+            ToF64,
+            ToI64,
+            ToBool,
+            SumElems,
+            Dot,
+            RandUniform,
+            RandNormal,
+            RandExponential,
+            RandNormalLike,
+            Prim::external("grad"),
+        ]
+    }
+
+    fn ordinal(p: &Prim) -> usize {
+        use Prim::*;
+        match p {
+            ConstF64(_) => 0,
+            ConstI64(_) => 1,
+            ConstBool(_) => 2,
+            FillLike(_) => 3,
+            Id => 4,
+            Neg => 5,
+            Abs => 6,
+            Exp => 7,
+            Ln => 8,
+            Sqrt => 9,
+            Square => 10,
+            Sigmoid => 11,
+            Softplus => 12,
+            Floor => 13,
+            Sin => 14,
+            Cos => 15,
+            Tanh => 16,
+            NegI => 17,
+            Not => 18,
+            Add => 19,
+            Sub => 20,
+            Mul => 21,
+            Div => 22,
+            Pow => 23,
+            Min2 => 24,
+            Max2 => 25,
+            Lt => 26,
+            Le => 27,
+            Gt => 28,
+            Ge => 29,
+            EqE => 30,
+            NeE => 31,
+            And => 32,
+            Or => 33,
+            Xor => 34,
+            Select => 35,
+            ToF64 => 36,
+            ToI64 => 37,
+            ToBool => 38,
+            SumElems => 39,
+            Dot => 40,
+            RandUniform => 41,
+            RandNormal => 42,
+            RandExponential => 43,
+            RandNormalLike => 44,
+            External(_) => 45,
+        }
+    }
+
+    #[test]
+    fn kernel_tags_are_lowercased_debug_names_for_every_variant() {
+        let all = every_prim();
+        let ordinals: Vec<usize> = all.iter().map(ordinal).collect();
+        assert_eq!(ordinals, (0..all.len()).collect::<Vec<_>>());
+        for p in &all {
+            // The tag every trace key was built from before tags were
+            // borrowed: any drift renames a kernel in every trace.
+            let want = match p {
+                Prim::External(name) => name.to_string(),
+                Prim::ConstF64(_) | Prim::ConstI64(_) | Prim::ConstBool(_) => "const".into(),
+                Prim::FillLike(_) => "fill".into(),
+                other => {
+                    let debug = format!("{other:?}").to_ascii_lowercase();
+                    assert_eq!(other.to_string(), debug, "{other:?} display");
+                    debug
+                }
+            };
+            assert_eq!(p.kernel_tag(), want, "{p:?}");
+        }
     }
 
     #[test]
